@@ -32,8 +32,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -76,11 +78,13 @@ func catalog() []experiment {
 
 // jsonExperiment is one experiment's results in the -json report.
 type jsonExperiment struct {
-	ID          string               `json:"id"`
-	Description string               `json:"description"`
-	WallSeconds float64              `json:"wall_seconds"`
-	WallMS      float64              `json:"wall_ms"`
-	AllocsPerOp float64              `json:"allocs_per_op"`
+	ID          string  `json:"id"`
+	Description string  `json:"description"`
+	WallSeconds float64 `json:"wall_seconds"`
+	WallMS      float64 `json:"wall_ms"`
+	// AllocsPerOp is null for experiments that count no operations into
+	// experiments.OpsCompleted (there is no per-op figure to report).
+	AllocsPerOp *float64             `json:"allocs_per_op"`
 	Tables      []*experiments.Table `json:"tables"`
 
 	// Telemetry merges the registries of every device the experiment
@@ -97,52 +101,75 @@ type jsonReport struct {
 }
 
 func main() {
-	runFlag := flag.String("run", "", "comma-separated experiment IDs (default: all)")
-	scale := flag.Float64("scale", 1.0, "working-set / window scale factor")
-	parallel := flag.Int("parallel", 0, "figure-cell worker pool size (0 = GOMAXPROCS)")
-	jsonPath := flag.String("json", "", "write experiment tables as JSON to this path (\"-\" = stdout)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
-	memProfile := flag.String("memprofile", "", "write an allocation profile to this path at exit")
-	list := flag.Bool("list", false, "list experiment IDs and scenarios, then exit")
-	scenario := flag.String("scenario", "", "run a traffic scenario (embedded name or JSON file path) instead of experiments")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command. It returns the exit code rather than calling
+// os.Exit, so the deferred profile writers run on every exit path.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("kamlbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	runFlag := fs.String("run", "", "comma-separated experiment IDs (default: all)")
+	scale := fs.Float64("scale", 1.0, "working-set / window scale factor")
+	parallel := fs.Int("parallel", 0, "figure-cell worker pool size (0 = GOMAXPROCS)")
+	jsonPath := fs.String("json", "", "write experiment tables as JSON to this path (\"-\" = stdout)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this path")
+	memProfile := fs.String("memprofile", "", "write an allocation profile to this path at exit")
+	list := fs.Bool("list", false, "list experiment IDs and scenarios, then exit")
+	scenario := fs.String("scenario", "", "run a traffic scenario (embedded name or JSON file path) instead of experiments")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	cat := catalog()
 	if *list {
-		fmt.Println("experiments:")
+		fmt.Fprintln(stdout, "experiments:")
 		for _, e := range cat {
-			fmt.Printf("  %-12s %s\n", e.id, e.desc)
+			fmt.Fprintf(stdout, "  %-12s %s\n", e.id, e.desc)
 		}
-		fmt.Println("\nscenarios (-scenario <name>):")
+		fmt.Fprintln(stdout, "\nscenarios (-scenario <name>):")
 		for _, name := range scenarios.Names() {
 			desc := ""
 			if sc, err := scenarios.Load(name); err == nil {
 				desc = sc.Description
 			}
-			fmt.Printf("  %-16s %s\n", name, desc)
+			fmt.Fprintf(stdout, "  %-16s %s\n", name, desc)
 		}
-		return
+		return 0
 	}
-
-	if *scenario != "" {
-		os.Exit(runScenario(*scenario, *jsonPath, os.Stdout, os.Stderr))
-	}
-
-	experiments.SetParallelism(*parallel)
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "create %s: %v\n", *cpuProfile, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "create %s: %v\n", *cpuProfile, err)
+			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "start cpu profile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "start cpu profile: %v\n", err)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
+	if *memProfile != "" {
+		defer func() {
+			if err := writeHeapProfile(*memProfile); err != nil {
+				fmt.Fprintf(stderr, "%v\n", err)
+				if code == 0 {
+					code = 1
+				}
+			}
+		}()
+	}
+
+	if *scenario != "" {
+		return runScenario(*scenario, *jsonPath, stdout, stderr)
+	}
+
+	experiments.SetParallelism(*parallel)
 
 	want := map[string]bool{}
 	if *runFlag != "" {
@@ -157,8 +184,8 @@ func main() {
 				}
 			}
 			if !found {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", id)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "unknown experiment %q (try -list)\n", id)
+				return 2
 			}
 		}
 	}
@@ -179,7 +206,7 @@ func main() {
 		if len(want) > 0 && !want[e.id] {
 			continue
 		}
-		fmt.Printf("--- running %s (%s) ---\n", e.id, e.desc)
+		fmt.Fprintf(stdout, "--- running %s (%s) ---\n", e.id, e.desc)
 		telemetry.ResetGlobal()
 		var m0 runtime.MemStats
 		runtime.ReadMemStats(&m0)
@@ -187,17 +214,18 @@ func main() {
 		start := time.Now()
 		tables := e.run(experiments.Scale(*scale))
 		for _, tb := range tables {
-			fmt.Println(tb.Render())
+			fmt.Fprintln(stdout, tb.Render())
 		}
 		elapsed := time.Since(start)
 		var m1 runtime.MemStats
 		runtime.ReadMemStats(&m1)
-		allocsPerOp := 0.0
+		var allocsPerOp *float64
 		if ops := experiments.OpsCompleted() - ops0; ops > 0 {
-			allocsPerOp = float64(m1.Mallocs-m0.Mallocs) / float64(ops)
+			v := float64(m1.Mallocs-m0.Mallocs) / float64(ops)
+			allocsPerOp = &v
 		}
-		fmt.Printf("(%s took %.1fs wall-clock, %.0f allocs/op)\n\n",
-			e.id, elapsed.Seconds(), allocsPerOp)
+		fmt.Fprintf(stdout, "(%s took %.1fs wall-clock, %s)\n\n",
+			e.id, elapsed.Seconds(), formatAllocs(allocsPerOp))
 		je := jsonExperiment{
 			ID: e.id, Description: e.desc,
 			WallSeconds: elapsed.Seconds(),
@@ -214,29 +242,39 @@ func main() {
 	if *jsonPath != "" {
 		blob, err := json.MarshalIndent(&report, "", "  ")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "encode json: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "encode json: %v\n", err)
+			return 1
 		}
 		blob = append(blob, '\n')
 		if *jsonPath == "-" {
-			os.Stdout.Write(blob)
+			stdout.Write(blob)
 		} else if err := os.WriteFile(*jsonPath, blob, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", *jsonPath, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "write %s: %v\n", *jsonPath, err)
+			return 1
 		}
 	}
+	return 0
+}
 
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "create %s: %v\n", *memProfile, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "write heap profile: %v\n", err)
-			os.Exit(1)
-		}
+// formatAllocs renders the allocs/op figure of an experiment's summary
+// line; nil means the experiment counted no operations.
+func formatAllocs(allocsPerOp *float64) string {
+	if allocsPerOp == nil {
+		return "allocs/op n/a"
 	}
+	return fmt.Sprintf("%.0f allocs/op", *allocsPerOp)
+}
+
+// writeHeapProfile writes the heap profile after a final GC.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("create %s: %w", path, err)
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return fmt.Errorf("write heap profile: %w", err)
+	}
+	return f.Close()
 }

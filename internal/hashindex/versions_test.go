@@ -145,35 +145,6 @@ func TestPruneNeverTouchesPending(t *testing.T) {
 	}
 }
 
-func TestVersionSerializeRoundTrip(t *testing.T) {
-	vc := NewVersionChains(16)
-	for key := uint64(1); key <= 5; key++ {
-		for s := uint64(1); s <= key; s++ {
-			v := mustPush(t, vc, key, s*7, key*1000+s)
-			vc.Commit(v)
-		}
-	}
-	mustPush(t, vc, 2, 100, 9999) // pending: must not round-trip
-	got, err := DeserializeVersionChains(vc.Serialize(), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for key := uint64(1); key <= 5; key++ {
-		if got.ChainLen(key) != int(key) {
-			t.Fatalf("key %d: len %d, want %d", key, got.ChainLen(key), key)
-		}
-		for s := uint64(1); s <= key; s++ {
-			loc, _, err := got.GetAtOrBefore(key, s*7)
-			if err != nil || loc != key*1000+s {
-				t.Fatalf("key %d ts %d: (%d, %v)", key, s*7, loc, err)
-			}
-		}
-	}
-	if got.Head(2).State() != VersionCommitted {
-		t.Fatal("pending node leaked through serialization")
-	}
-}
-
 // TestConcurrentSnapshotReads races lock-free timestamp reads against
 // pushes, commits, and prunes — the exact interleaving the firmware's
 // snapshot read path relies on. Run with -race.

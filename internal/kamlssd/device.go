@@ -24,7 +24,7 @@
 //	d.mu   (RWMutex)  namespace map + family membership. Readers: per-op
 //	                  namespace lookup, flusher/GC index installs (which
 //	                  must see a frozen snapshot family). Writers: create/
-//	                  delete/snapshot namespace, legacy Crash.
+//	                  delete/snapshot namespace.
 //	ns.mu  (RWMutex)  one per namespace: index identity (which table is
 //	                  mounted), round-robin cursor, swap state. Put, GC
 //	                  installs, and recovery take the write lock; Get does
@@ -54,14 +54,14 @@
 // from before or after the racing write. ns.mu therefore no longer
 // serializes reads against writes on the table's CONTENT; it still
 // serializes everything about the table's IDENTITY (mount, swap-out,
-// reload, restore all go through namespace.setIndex under the write
+// reload, recovery all go through namespace.setIndex under the write
 // lock) and still orders mutators against each other, which the
 // valid-byte accounting depends on. Tree-indexed and swapped-out
 // namespaces publish a nil handle, and those Gets fall back to
 // ns.mu.RLock exactly as before. One obligation follows: every index
 // mutation MUST go through the mounted table in place (never
 // copy-and-replace) so the handle a reader loaded stays current; the
-// only identity swaps are swap-out/reload/restore, whose flash I/O
+// only identity swaps after mount are swap-out/reload, whose flash I/O
 // cannot complete while any same-instant reader is still probing.
 package kamlssd
 
@@ -401,8 +401,8 @@ func New(arr *flash.Array, ctrl *nvme.Controller, cfg Config) *Device {
 	return d
 }
 
-// initLocks builds the device's lock hierarchy (shared by New, Recover,
-// Restore).
+// initLocks builds the device's lock hierarchy (shared by New and
+// Recover).
 func (d *Device) initLocks() {
 	d.mu = d.eng.NewRWMutex("kaml-dev")
 	d.nvMu = d.eng.NewMutex("kaml-nvram")

@@ -443,10 +443,3 @@ func (d *Device) indexPageLive(ppn flash.PPN) bool {
 	}
 	return false
 }
-
-// isPageWritten lets the flusher tolerate replaying a program after crash
-// recovery (the page content is deterministic, so an already-written page
-// means the pre-crash program completed).
-func isPageWritten(err error) bool {
-	return errors.Is(err, flash.ErrPageWritten)
-}

@@ -259,9 +259,7 @@ func (d *Device) flusherLoop(lg *logState) {
 		lg.mu.Unlock()
 
 		err := d.arr.ProgramPage(sp.ppn, sp.data, sp.oob)
-		if err != nil && !isPageWritten(err) {
-			// isPageWritten means a pre-crash program completed before the
-			// sealed page was replayed from NVRAM; the content matches.
+		if err != nil {
 			if errors.Is(err, flash.ErrPowerCut) {
 				// Power died mid-program. The records are safe in NVRAM;
 				// recovery replays them. Exit without installing anything.

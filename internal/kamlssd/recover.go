@@ -12,13 +12,12 @@ import (
 )
 
 // Recover rebuilds a device after a power cut from the two artifacts that
-// survive one: the flash array and the battery-backed NVRAM. Unlike the
-// legacy Restore (state.go), which replays a DRAM snapshot, Recover trusts
-// nothing volatile — every version chain, mapping table, the log allocator,
-// and the valid-byte accounting are reconstructed by scanning the logs,
-// exactly as real firmware would after power loss (paper §IV-D: "the
-// firmware recovers using the data in the non-volatile buffers" plus a log
-// scan).
+// survive one: the flash array and the battery-backed NVRAM. It is the
+// device's only recovery path and trusts nothing volatile — every version
+// chain, mapping table, the log allocator, and the valid-byte accounting
+// are reconstructed by scanning the logs, exactly as real firmware would
+// after power loss (paper §IV-D: "the firmware recovers using the data in
+// the non-volatile buffers" plus a log scan).
 //
 // The protocol, in order:
 //

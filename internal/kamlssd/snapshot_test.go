@@ -194,10 +194,9 @@ func TestSnapshotSurvivesCrash(t *testing.T) {
 		snap, _ := r.dev.SnapshotNamespace(ns)
 		r.dev.Put(one(ns, 3, []byte("post-snapshot")))
 
-		st := r.dev.Crash()
-		dev2, err := Restore(r.arr, r.ctrl, r.dev.Config(), st)
+		dev2, err := powerCycle(r.arr, r.ctrl, r.dev)
 		if err != nil {
-			t.Errorf("restore: %v", err)
+			t.Errorf("recover: %v", err)
 			return
 		}
 		defer dev2.Close()
@@ -272,7 +271,7 @@ func TestTreeIndexSwapOutAndReload(t *testing.T) {
 	})
 }
 
-func TestTreeIndexCrashRestore(t *testing.T) {
+func TestTreeIndexCrashRecover(t *testing.T) {
 	fc := testFlashConfig()
 	r := newRig(fc, nil)
 	r.e.Go("main", func() {
@@ -280,10 +279,9 @@ func TestTreeIndexCrashRestore(t *testing.T) {
 		for k := uint64(0); k < 80; k++ {
 			r.dev.Put(one(ns, k, val(k, 250)))
 		}
-		st := r.dev.Crash()
-		dev2, err := Restore(r.arr, r.ctrl, r.dev.Config(), st)
+		dev2, err := powerCycle(r.arr, r.ctrl, r.dev)
 		if err != nil {
-			t.Errorf("restore: %v", err)
+			t.Errorf("recover: %v", err)
 			return
 		}
 		defer dev2.Close()

@@ -3,23 +3,15 @@ package kamlssd
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"github.com/kaml-ssd/kaml/internal/flash"
-	"github.com/kaml-ssd/kaml/internal/hashindex"
-	"github.com/kaml-ssd/kaml/internal/nvme"
-	"github.com/kaml-ssd/kaml/internal/record"
 )
 
-// This file implements two §IV-C features that depend on treating the SSD's
-// DRAM as persistent (battery/capacitor-backed, per the paper's assumption):
-//
-//   - swapping an idle namespace's mapping table out to flash and reloading
-//     it on the next access, and
-//   - power-failure recovery: a crash snapshot captures exactly the
-//     DRAM-resident state (indices, NVRAM staging buffers, allocator
-//     metadata); Restore rebuilds a device around the surviving flash array
-//     and replays the NVRAM contents.
+// This file implements the §IV-C mapping-table swap: SwapOutIndex writes an
+// idle namespace's index to flash pages and releases its DRAM, and the next
+// access reloads it (loadIndex). Power-failure recovery is not here: Recover
+// (recover.go) rebuilds every index from a log scan plus the battery-backed
+// NVRAM and trusts no DRAM state.
 
 // SwapOutIndex serializes the namespace's mapping table to flash pages and
 // releases its DRAM ("KAML employs a simple policy to swap unused mapping
@@ -195,326 +187,4 @@ func (d *Device) finishLoad(ns *namespace, pages []flash.PPN) (err error) {
 		d.discountValid(flashLoc(p, 0, chunksPerPage))
 	}
 	return nil
-}
-
-// State is a crash snapshot of the device's persistent DRAM. It references
-// deep copies, so the snapshot stays consistent after the original device
-// keeps running (useful for "crash at time T" tests).
-type State struct {
-	NextNSID uint32
-	NVSeq    uint64
-	NVRAM    map[uint64][]byte
-	NS       []nsSnapshot
-	Families map[uint32]famSnapshot // family root ID -> serialized version chains
-	Logs     []logSnapshot
-}
-
-// famSnapshot captures one family's version chains (committed nodes only;
-// pending nodes are NVRAM state and die with the batch).
-type famSnapshot struct {
-	chainsBlob []byte
-	keys       int // sizing hint for the rebuilt chain table
-}
-
-type nsSnapshot struct {
-	id        uint32
-	indexBlob []byte
-	indexCap  int
-	indexKind IndexKind
-	logIDs    []int
-	swapped   bool
-	swapPages []flash.PPN
-	origin    uint32
-	readonly  bool
-	cutoff    uint64
-}
-
-type logSnapshot struct {
-	packerRecs []pendingRec // records re-staged on restore
-	sealed     []sealedPage
-	activeHost *appendPoint
-	activeGC   *appendPoint
-	nextChip   int
-	freeBlocks int
-	chips      []logChipSnapshot
-}
-
-type logChipSnapshot struct {
-	free   []int
-	blocks []blockMeta
-}
-
-// Crash abruptly halts the device — as a power cut would — and returns the
-// DRAM snapshot. In-flight flash programs are abandoned (sealed pages stay
-// queued in the snapshot; Restore's flushers replay them, tolerating pages
-// the pre-crash program already completed). The device is unusable after.
-//
-// The snapshot is cut under the device write lock, which excludes flusher
-// and GC installs (they hold the read lock); each namespace and log is then
-// frozen under its own lock while copied.
-func (d *Device) Crash() *State {
-	d.mu.Lock()
-	d.nvMu.Lock()
-	st := &State{
-		NextNSID: d.nv.nextNSID,
-		NVSeq:    d.nv.nvSeq,
-		NVRAM:    make(map[uint64][]byte, len(d.nv.values)),
-	}
-	for k, e := range d.nv.values {
-		st.NVRAM[k] = append([]byte(nil), e.val...)
-	}
-	d.nvMu.Unlock()
-	for _, ns := range d.namespaces {
-		ns.mu.RLock()
-		snap := nsSnapshot{
-			id:        ns.id,
-			logIDs:    append([]int(nil), ns.logIDs...),
-			swapped:   ns.swapped,
-			swapPages: append([]flash.PPN(nil), ns.swapPages...),
-			origin:    ns.origin,
-			readonly:  ns.readonly,
-			cutoff:    ns.cutoff,
-		}
-		if !ns.swapped && ns.index != nil {
-			snap.indexBlob = ns.index.Serialize()
-			snap.indexCap = ns.index.Capacity()
-			snap.indexKind = ns.index.Kind()
-		}
-		ns.mu.RUnlock()
-		st.NS = append(st.NS, snap)
-	}
-	// Version chains, one blob per family (the root's mu serializes chain
-	// mutation, so a read-hold freezes the committed set).
-	st.Families = make(map[uint32]famSnapshot, len(d.families))
-	for rootID, fam := range d.families {
-		fam.root.mu.RLock()
-		st.Families[rootID] = famSnapshot{
-			chainsBlob: fam.chains.Serialize(),
-			keys:       fam.chains.Keys(),
-		}
-		fam.root.mu.RUnlock()
-	}
-	d.closed.Store(true)
-	d.crashed.Store(true)
-	for _, lg := range d.logs {
-		lg.mu.Lock()
-		ls := logSnapshot{
-			packerRecs: append([]pendingRec(nil), lg.pending...),
-			activeHost: cloneAppend(lg.activeHost),
-			activeGC:   cloneAppend(lg.activeGC),
-			nextChip:   lg.nextChip,
-			freeBlocks: lg.freeBlocks,
-		}
-		queue := lg.sealedQueue
-		if lg.inflight != nil {
-			// The page mid-program at the instant of the crash replays
-			// first; Restore's flusher tolerates a completed program.
-			queue = append([]sealedPage{*lg.inflight}, queue...)
-		}
-		for _, sp := range queue {
-			ls.sealed = append(ls.sealed, sealedPage{
-				ppn:     sp.ppn,
-				data:    append([]byte(nil), sp.data...),
-				oob:     append([]byte(nil), sp.oob...),
-				pending: append([]pendingRec(nil), sp.pending...),
-			})
-		}
-		// The open packer's page image is rebuilt on restore from NVRAM
-		// values, so only the pending descriptors are captured.
-		for _, lc := range lg.chips {
-			ls.chips = append(ls.chips, logChipSnapshot{
-				free:   append([]int(nil), lc.free...),
-				blocks: append([]blockMeta(nil), lc.blocks...),
-			})
-		}
-		st.Logs = append(st.Logs, ls)
-		lg.spaceCv.Broadcast()
-		lg.workCv.Broadcast()
-		lg.mu.Unlock()
-	}
-	d.mu.Unlock()
-	// Fail the command pipeline so queued commands bounce with ErrPowerLoss
-	// and its actors exit — the snapshot above is the crash point, nothing
-	// after it may reach flash or NVRAM.
-	d.pipe.Fail(ErrPowerLoss)
-	d.stopped.Wait()
-	d.pipe.Join()
-	return st
-}
-
-func cloneAppend(a *appendPoint) *appendPoint {
-	if a == nil {
-		return nil
-	}
-	c := *a
-	return &c
-}
-
-// Restore rebuilds a device from a crash snapshot over the surviving flash
-// array — the firmware's power-failure recovery path. The configuration and
-// flash geometry must match the pre-crash device.
-func Restore(arr *flash.Array, ctrl *nvme.Controller, cfg Config, st *State) (*Device, error) {
-	fc := arr.Config()
-	d := &Device{
-		cfg:        cfg,
-		fc:         fc,
-		arr:        arr,
-		ctrl:       ctrl,
-		eng:        arr.Engine(),
-		namespaces: make(map[uint32]*namespace),
-		families:   make(map[uint32]*family),
-		pins:       make(map[uint64]int),
-		nv:         NewNVRAM(),
-	}
-	d.nv.nextNSID = st.NextNSID
-	d.nv.nvSeq = st.NVSeq
-	d.initLocks()
-	d.buildLogs()
-	for _, snap := range st.NS {
-		ns := d.newNamespace(snap.id)
-		ns.logIDs = append([]int(nil), snap.logIDs...)
-		ns.swapped = snap.swapped
-		ns.swapPages = append([]flash.PPN(nil), snap.swapPages...)
-		ns.origin = snap.origin
-		ns.readonly = snap.readonly
-		ns.cutoff = snap.cutoff
-		d.nv.putNS(nsMeta{
-			id: snap.id, kind: snap.indexKind, capacity: snap.indexCap,
-			numLogs: len(snap.logIDs), origin: snap.origin,
-			readonly: snap.readonly, cutoff: snap.cutoff,
-		})
-		if !snap.swapped && snap.origin == 0 {
-			tbl, err := deserializeIndex(snap.indexKind, snap.indexBlob, snap.indexCap, cfg.AutoGrowIndex)
-			if err != nil {
-				return nil, fmt.Errorf("kamlssd: restore ns %d: %w", snap.id, err)
-			}
-			ns.setIndex(tbl)
-		}
-		d.namespaces[ns.id] = ns
-	}
-	// Rebuild version-chain families. A family whose root was deleted
-	// pre-crash gets a synthetic root namespace to carry the chain lock (the
-	// surviving snapshots still read through it).
-	famIDs := make([]uint32, 0, len(st.Families))
-	for id := range st.Families {
-		famIDs = append(famIDs, id)
-	}
-	sort.Slice(famIDs, func(i, j int) bool { return famIDs[i] < famIDs[j] })
-	for _, rootID := range famIDs {
-		fs := st.Families[rootID]
-		chains, err := hashindex.DeserializeVersionChains(fs.chainsBlob, fs.keys)
-		if err != nil {
-			return nil, fmt.Errorf("kamlssd: restore family %d chains: %w", rootID, err)
-		}
-		root, live := d.namespaces[rootID]
-		if !live {
-			root = d.newNamespace(rootID)
-			root.cutoff = noCutoff
-		}
-		d.families[rootID] = &family{root: root, chains: chains, rootLive: live}
-	}
-	for _, ns := range d.namespaces {
-		fam := d.families[familyRoot(ns)]
-		if fam == nil {
-			if ns.origin != 0 {
-				return nil, fmt.Errorf("kamlssd: restore ns %d: family %d missing from snapshot", ns.id, ns.origin)
-			}
-			fam = &family{root: ns, chains: hashindex.NewVersionChains(8), rootLive: true}
-			d.families[ns.id] = fam
-		}
-		ns.fam = fam
-	}
-	if len(st.Logs) != len(d.logs) {
-		return nil, fmt.Errorf("kamlssd: restore with %d logs, snapshot has %d",
-			len(d.logs), len(st.Logs))
-	}
-	// Rebuild the battery-backed value map. The legacy snapshot stores raw
-	// seq -> value bytes; each value's (ns, key) comes from the pending
-	// descriptors (every surviving value is referenced by the open packer
-	// or a sealed page). Everything is marked committed: the legacy path
-	// captures whole acknowledged Puts only.
-	type recInfo struct {
-		ns  uint32
-		key uint64
-	}
-	info := make(map[uint64]recInfo)
-	for _, ls := range st.Logs {
-		for _, pr := range ls.packerRecs {
-			info[pr.seq] = recInfo{pr.ns, pr.key}
-		}
-		for _, sp := range ls.sealed {
-			for _, pr := range sp.pending {
-				info[pr.seq] = recInfo{pr.ns, pr.key}
-			}
-		}
-	}
-	if len(st.NVRAM) > 0 {
-		d.nv.nextBatch++
-		b := &nvBatch{committed: true}
-		d.nv.batches[d.nv.nextBatch] = b
-		for seq, v := range st.NVRAM {
-			in := info[seq]
-			d.nv.values[seq] = &nvEntry{ns: in.ns, key: in.key, val: getStaging(v), batch: d.nv.nextBatch}
-			d.nv.staged.Add(1)
-			b.seqs = append(b.seqs, seq)
-			b.remaining++
-		}
-	}
-	for i, ls := range st.Logs {
-		lg := d.logs[i]
-		lg.nextChip = ls.nextChip
-		lg.freeBlocks = ls.freeBlocks
-		lg.activeHost = cloneAppend(ls.activeHost)
-		lg.activeGC = cloneAppend(ls.activeGC)
-		if len(ls.chips) != len(lg.chips) {
-			return nil, fmt.Errorf("kamlssd: restore log %d chip mismatch", i)
-		}
-		for ci, cs := range ls.chips {
-			lg.chips[ci].free = append([]int(nil), cs.free...)
-			lg.chips[ci].blocks = append([]blockMeta(nil), cs.blocks...)
-		}
-		// A GC program may have been allocated but never issued before the
-		// crash; re-synchronize the GC append point with the flash block's
-		// actual fill so the stream stays sequential.
-		if lg.activeGC != nil {
-			ch, chip := lg.chipAddr(lg.activeGC.chip)
-			actual := arr.ProgrammedPages(arr.BlockPPN(ch, chip, lg.activeGC.block, 0))
-			if actual >= 0 && actual < lg.activeGC.page {
-				lg.activeGC.page = actual
-			}
-		}
-		for _, sp := range ls.sealed {
-			lg.sealedQueue = append(lg.sealedQueue, sealedPage{
-				ppn:     sp.ppn,
-				data:    append([]byte(nil), sp.data...),
-				oob:     append([]byte(nil), sp.oob...),
-				pending: append([]pendingRec(nil), sp.pending...),
-			})
-		}
-		// Re-stage the open packer from the NVRAM values (§IV-D recovery:
-		// "the firmware recovers using the data in the non-volatile
-		// buffers").
-		for _, pr := range ls.packerRecs {
-			val, ok := d.nv.value(pr.seq)
-			if !ok {
-				return nil, fmt.Errorf("kamlssd: restore log %d: NVRAM seq %d missing", i, pr.seq)
-			}
-			rec := record.Record{Namespace: pr.ns, Key: pr.key, Seq: pr.seq, Value: val}
-			if lg.packer.Empty() {
-				lg.packerBorn = d.eng.Now()
-			}
-			chunk := lg.packer.Add(rec)
-			if chunk != pr.chunk {
-				return nil, fmt.Errorf("kamlssd: restore log %d: chunk drift %d != %d", i, chunk, pr.chunk)
-			}
-			lg.pending = append(lg.pending, pr)
-		}
-	}
-	d.startActors()
-	for _, ns := range d.namespacesSorted() {
-		if !ns.swapped && ns.index != nil {
-			d.met.addIndexEntries(ns.index.Len())
-		}
-	}
-	return d, nil
 }
