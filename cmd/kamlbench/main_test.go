@@ -34,6 +34,33 @@ func TestScenarioWritesProfiles(t *testing.T) {
 // TestAllocsPerOpNotAvailable runs an experiment that counts no operations
 // and checks that its allocation figure is reported as unavailable (n/a on
 // stdout, null in the JSON report) rather than as 0.
+func TestClusterReportsAllocsPerOp(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "kamlcluster.json")
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-run", "kamlcluster", "-scale", "0.05", "-json", out}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit code %d, want 0\nstderr: %s", code, stderr.String())
+	}
+	blob, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		Experiments []struct {
+			AllocsPerOp *float64 `json:"allocs_per_op"`
+		} `json:"experiments"`
+	}
+	if err := json.Unmarshal(blob, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Experiments) != 1 {
+		t.Fatalf("%d experiments in report, want 1", len(rep.Experiments))
+	}
+	if a := rep.Experiments[0].AllocsPerOp; a == nil || *a <= 0 {
+		t.Fatalf("allocs_per_op = %v, want a positive number", a)
+	}
+}
+
 func TestAllocsPerOpNotAvailable(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "conflicts.json")
 	var stdout, stderr bytes.Buffer

@@ -42,6 +42,7 @@ package cmdq
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -120,25 +121,21 @@ type Result struct {
 //
 // The fast path is lock-free: complete publishes the result with one atomic
 // store, and a Wait or Ready that arrives afterwards returns without
-// touching a sim primitive. The mutex/cond pair a blocking Wait parks on is
-// created lazily by the first waiter that actually needs to block — under a
-// loaded pipeline most completions resolve before their waiter gets there,
-// so the common future never allocates (or contends on) either.
+// touching a sim primitive. A waiter that has to block first raises
+// waiting and parks on the embedded one-shot event; complete sets the event
+// only when it sees waiting raised, so a completion nobody waits on never
+// takes the engine lock. Neither path allocates.
 type Future struct {
-	eng   *sim.Engine
-	ready atomic.Uint32              // 1 once res is published
-	park  atomic.Pointer[futurePark] // installed by the first blocking waiter
-	res   Result
-}
-
-// futurePark is the parking lot a blocking Wait rides on.
-type futurePark struct {
-	mu *sim.Mutex
-	cv *sim.Cond
+	ready   atomic.Uint32 // 1 once res is published
+	waiting atomic.Bool   // a Wait may be parked on done
+	done    sim.Event
+	res     Result
 }
 
 func newFuture(eng *sim.Engine) *Future {
-	return &Future{eng: eng}
+	f := &Future{}
+	f.done.Init(eng, "cmdq-fut")
+	return f
 }
 
 // Resolved returns an already-completed future. Validation failures (and
@@ -157,41 +154,27 @@ func (f *Future) Wait() Result {
 	if f.ready.Load() != 0 {
 		return f.res
 	}
-	pk := f.park.Load()
-	if pk == nil {
-		n := &futurePark{mu: f.eng.NewMutex("cmdq-fut")}
-		n.cv = f.eng.NewCond(n.mu)
-		if f.park.CompareAndSwap(nil, n) {
-			pk = n
-		} else {
-			pk = f.park.Load() // another waiter won the install race
-		}
+	f.waiting.Store(true)
+	if f.ready.Load() == 0 {
+		f.done.Wait()
 	}
-	pk.mu.Lock()
-	for f.ready.Load() == 0 {
-		pk.cv.Wait()
-	}
-	pk.mu.Unlock()
 	return f.res
 }
 
 // Ready reports whether the command has already completed.
 func (f *Future) Ready() bool { return f.ready.Load() != 0 }
 
-// complete publishes res and wakes any parked waiters. The ready/park
+// complete publishes res and wakes any parked waiters. The ready/waiting
 // accesses are seq-cst, which closes the race with a concurrent Wait: if
-// complete's park.Load sees nil, the waiter's park install came later in
-// the total order, so the waiter's next ready check sees 1 and it never
-// blocks; if complete sees the parking lot, its broadcast runs under the
-// lot's mutex and so cannot slip between a waiter's ready check and its
-// cv.Wait.
+// complete reads waiting as false, the waiter raised it later in the total
+// order, so its second ready check sees 1 and it never parks; if complete
+// reads it as true, it sets the event, and the event's own lock orders the
+// set against the waiter's park.
 func (f *Future) complete(res Result) {
 	f.res = res
 	f.ready.Store(1)
-	if pk := f.park.Load(); pk != nil {
-		pk.mu.Lock()
-		pk.cv.Broadcast()
-		pk.mu.Unlock()
+	if f.waiting.Load() {
+		f.done.Set()
 	}
 }
 
@@ -321,7 +304,8 @@ type Pipeline struct {
 
 // New builds a pipeline and starts its worker actors. exec runs firmware
 // work for one command on a worker (or coalescer) actor and must not retain
-// the command. Close or Fail must be called before draining the simulation.
+// the command or its Records slice: a coalescer reuses both for its next
+// batch. Close or Fail must be called before draining the simulation.
 func New(eng *sim.Engine, cfg Config, exec func(*Command) Result) *Pipeline {
 	cfg = cfg.withDefaults()
 	p := &Pipeline{
@@ -602,6 +586,20 @@ type coalescer struct {
 	cv    *sim.Cond // rides on p.mu: pending work or shutdown
 	pend  []task
 	born  time.Duration // arrival of the oldest pending write
+
+	// Working set of one cut and commit, reused batch to batch: the loop
+	// commits one batch at a time, and exec must not retain its command.
+	seen    map[recKey]struct{}
+	batch   []Record
+	tasks   []task
+	results []Result
+	cmd     Command
+}
+
+// recKey identifies one record's (namespace, key) pair.
+type recKey struct {
+	ns  uint32
+	key uint64
 }
 
 // coalescerLocked returns (creating if needed) the shard. Caller holds
@@ -610,7 +608,7 @@ func (p *Pipeline) coalescerLocked(shard int) *coalescer {
 	if c, ok := p.coMap[shard]; ok {
 		return c
 	}
-	c := &coalescer{p: p, shard: shard, cv: p.eng.NewCond(p.mu)}
+	c := &coalescer{p: p, shard: shard, cv: p.eng.NewCond(p.mu), seen: make(map[recKey]struct{})}
 	p.coMap[shard] = c
 	p.coList = append(p.coList, c)
 	p.wg.Add(1)
@@ -686,7 +684,8 @@ func (c *coalescer) loop() {
 		poison := p.poison
 		p.mu.Unlock()
 
-		results := make([]Result, len(tasks))
+		results := append(c.results[:0], make([]Result, len(tasks))...)
+		c.results = results
 		switch {
 		case poison != nil:
 			for i := range results {
@@ -700,7 +699,8 @@ func (c *coalescer) loop() {
 					p.m.observeStage(t.cmd.Op, stageCoalesce, start-t.at)
 				}
 			}
-			res := p.exec(&Command{Op: OpPutBatch, Records: batch, Merged: len(tasks)})
+			c.cmd = Command{Op: OpPutBatch, Records: batch, Merged: len(tasks)}
+			res := p.exec(&c.cmd)
 			if p.m != nil {
 				// The group commit's exec is the NVRAM batch commit; charge
 				// its latency to every merged command.
@@ -735,6 +735,12 @@ func (c *coalescer) loop() {
 			}
 		}
 		p.completeAll(tasks, results)
+		// Drop the references the reused buffers hold, so completed
+		// commands and values can be collected.
+		clear(batch)
+		clear(tasks)
+		clear(results)
+		c.cmd = Command{}
 		// One occupancy release and one queue-space wakeup for the whole
 		// batch, before the loop takes the pipeline lock back.
 		p.release(len(tasks))
@@ -755,17 +761,16 @@ func (c *coalescer) records() int {
 // bounded by MaxBatchRecords that stays free of duplicate (namespace, key)
 // pairs — the firmware's atomic batch rejects duplicates, and an innocent
 // writer must never fail because a coalesced neighbor touched the same key.
-// An oversized submitted batch is taken alone (never split). Caller holds
-// p.mu.
+// An oversized submitted batch is taken alone (never split). The returned
+// slices are the coalescer's reused buffers, valid until the next cut.
+// Caller holds p.mu.
 func (c *coalescer) cutLocked() ([]Record, []task) {
-	var (
-		batch []Record
-		seen  = make(map[uint64]map[uint64]bool) // ns -> key set
-		n     int
-	)
+	clear(c.seen)
+	batch := c.batch[:0]
+	n := 0
 	dup := func(recs []Record) bool {
 		for _, r := range recs {
-			if seen[uint64(r.Namespace)][r.Key] {
+			if _, ok := c.seen[recKey{r.Namespace, r.Key}]; ok {
 				return true
 			}
 		}
@@ -778,12 +783,7 @@ func (c *coalescer) cutLocked() ([]Record, []task) {
 			break
 		}
 		for _, r := range recs {
-			ks := seen[uint64(r.Namespace)]
-			if ks == nil {
-				ks = make(map[uint64]bool)
-				seen[uint64(r.Namespace)] = ks
-			}
-			ks[r.Key] = true
+			c.seen[recKey{r.Namespace, r.Key}] = struct{}{}
 			batch = append(batch, r)
 		}
 		n += len(recs)
@@ -792,8 +792,9 @@ func (c *coalescer) cutLocked() ([]Record, []task) {
 			break
 		}
 	}
-	tasks := append([]task(nil), c.pend[:take]...)
-	c.pend = c.pend[take:]
+	tasks := append(c.tasks[:0], c.pend[:take]...)
+	c.batch, c.tasks = batch, tasks
+	c.pend = slices.Delete(c.pend, 0, take)
 	if len(c.pend) > 0 {
 		c.born = c.p.eng.NowCheap() // restart the window for the remainder
 	}

@@ -149,6 +149,7 @@ func kamlClusterCell(s Scale, hedged bool) *kcCell {
 		}
 		inflight.Wait()
 		chaos.Wait()
+		opsDone.Add(int64(ops))
 
 		cell.status = c.Status()
 		reg := c.Telemetry()

@@ -14,10 +14,11 @@ var qdDepths = []int{1, 2, 4, 8, 16, 32, 64, 128}
 const qdValueSize = 1024
 
 // qdSweepRaw runs the sweep cells and returns per-depth operation counts
-// plus the Put cells' coalescer merge rate (records per batch commit).
+// plus the Put cells' coalescer merge rate (records per batch commit) and
+// write amplification (flash bytes programmed per value byte written).
 // Each cell is its own simulation: QD closed-loop workers — QD commands in
 // flight — against a fresh device.
-func qdSweepRaw(s Scale, depths []int) (getOps, putOps []int64, recsPerBatch []float64) {
+func qdSweepRaw(s Scale, depths []int) (getOps, putOps []int64, recsPerBatch, writeAmp []float64) {
 	warm, window := microWindows(s)
 	n := int(2000 * float64(s))
 	if n < 256 {
@@ -26,6 +27,7 @@ func qdSweepRaw(s Scale, depths []int) (getOps, putOps []int64, recsPerBatch []f
 	getOps = make([]int64, len(depths))
 	putOps = make([]int64, len(depths))
 	recsPerBatch = make([]float64, len(depths))
+	writeAmp = make([]float64, len(depths))
 	jobs := cellJobs{}
 	for i, qd := range depths {
 		i, qd := i, qd
@@ -64,6 +66,9 @@ func qdSweepRaw(s Scale, depths []int) (getOps, putOps []int64, recsPerBatch []f
 				if st.CoalescerBatches > 0 {
 					recsPerBatch[i] = float64(st.CoalescerRecords) / float64(st.CoalescerBatches)
 				}
+				if st.BytesWritten > 0 {
+					writeAmp[i] = float64(st.FlashBytesWritten) / float64(st.BytesWritten)
+				}
 			})
 			r.eng.Wait()
 		})
@@ -80,18 +85,21 @@ func qdSweepRaw(s Scale, depths []int) (getOps, putOps []int64, recsPerBatch []f
 // commit. The paper's device sustains its bandwidth numbers only at depth
 // (§V-B runs eight host threads); this table shows where that scaling
 // comes from and where it saturates (controller cores, then flash
-// bandwidth).
+// bandwidth). The write_amp column tracks write amplification against
+// depth: at low depth a lone Put's page seals on the FlushPoll timer
+// before it fills, so flash programs far more bytes than the host wrote.
 func QDSweep(s Scale) *Table {
 	_, window := microWindows(s)
-	getOps, putOps, recsPerBatch := qdSweepRaw(s, qdDepths)
+	getOps, putOps, recsPerBatch, writeAmp := qdSweepRaw(s, qdDepths)
 
 	t := &Table{
 		ID:    "qdsweep",
 		Title: fmt.Sprintf("queue-depth sweep: %d B values, %v window", qdValueSize, window),
 		Header: []string{"qd", "get_kops", "get_speedup", "put_kops", "put_speedup",
-			"coalesce_recs_per_batch"},
+			"coalesce_recs_per_batch", "write_amp"},
 		Notes: []string{
 			"speedups are relative to QD 1; coalesce_recs_per_batch is CoalescerRecords/CoalescerBatches",
+			"write_amp is FlashBytesWritten/BytesWritten over the whole Put cell (warm-up included), GC copies included",
 		},
 	}
 	speedup := func(ops, ref int64) string {
@@ -108,7 +116,7 @@ func QDSweep(s Scale) *Table {
 			fmt.Sprintf("%d", qd),
 			kops(getOps[i]), speedup(getOps[i], getOps[0]),
 			kops(putOps[i]), speedup(putOps[i], putOps[0]),
-			f2(recsPerBatch[i]),
+			f2(recsPerBatch[i]), f2(writeAmp[i]),
 		})
 	}
 	return t

@@ -8,12 +8,15 @@ import "testing"
 // the coalescer actually merging (≥2 records per batch commit on average).
 func TestQDSweepScalesAndCoalesces(t *testing.T) {
 	depths := []int{1, 2, 4, 8, 16, 32}
-	getOps, putOps, recsPerBatch := qdSweepRaw(0.2, depths)
+	getOps, putOps, recsPerBatch, writeAmp := qdSweepRaw(0.2, depths)
 
 	for i, qd := range depths {
-		t.Logf("qd=%-3d get=%-6d put=%-6d recs/batch=%.2f", qd, getOps[i], putOps[i], recsPerBatch[i])
+		t.Logf("qd=%-3d get=%-6d put=%-6d recs/batch=%.2f write_amp=%.2f", qd, getOps[i], putOps[i], recsPerBatch[i], writeAmp[i])
 		if getOps[i] == 0 || putOps[i] == 0 {
 			t.Fatalf("qd=%d: empty cell", qd)
+		}
+		if writeAmp[i] < 1 {
+			t.Errorf("qd=%d: write amplification %.2f < 1: flash programmed fewer bytes than the host wrote", qd, writeAmp[i])
 		}
 	}
 	// Monotone Get scaling, with a 3% tolerance for scheduling noise.

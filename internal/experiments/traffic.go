@@ -33,6 +33,7 @@ func TrafficScenarios(Scale) *Table {
 			continue
 		}
 		for _, ph := range rep.Phases {
+			opsDone.Add(ph.OpsCompleted)
 			t.Rows = append(t.Rows, []string{
 				name, ph.Name,
 				fmt.Sprintf("%d", ph.OpsIssued),

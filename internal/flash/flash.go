@@ -336,7 +336,16 @@ func (a *Array) ReadPage(p PPN) (data, oob []byte, err error) {
 }
 
 // ProgramPage writes a full page. data must be at most PageSize bytes and
-// oob at most OOBSize bytes; both are padded to full length internally.
+// oob at most OOBSize bytes.
+//
+// Ownership: a full-length buffer (len(data) == PageSize, len(oob) ==
+// OOBSize) is not copied. On success it becomes the page's stored image —
+// the very slice ReadPage later returns — so the caller must never modify
+// it again. Several pages may share one buffer that nobody modifies. A
+// shorter buffer is padded with zeros into a fresh copy and stays the
+// caller's. A failed program keeps neither buffer, so the caller may
+// retry the same buffers at another page.
+//
 // Timing: the channel bus is held for the transfer, then the chip is busy
 // for ProgramLatency.
 func (a *Array) ProgramPage(p PPN, data, oob []byte) error {
@@ -387,15 +396,22 @@ func (a *Array) ProgramPage(p PPN, data, oob []byte) error {
 		return fmt.Errorf("%w: torn program ppn %d", ErrPowerCut, p)
 	}
 	a.eng.Sleep(a.cfg.ProgramLatency)
-	stored := make([]byte, a.cfg.PageSize)
-	copy(stored, data)
-	soob := make([]byte, a.cfg.OOBSize)
-	copy(soob, oob)
-	bs.data[addr.Page] = stored
-	bs.oob[addr.Page] = soob
+	bs.data[addr.Page] = fullLength(data, a.cfg.PageSize)
+	bs.oob[addr.Page] = fullLength(oob, a.cfg.OOBSize)
 	bs.nextPage.Add(1)
 	a.programs.Add(1)
 	return nil
+}
+
+// fullLength returns buf as a stored page image of n bytes: buf itself,
+// capacity clipped, when it is already n long, else a zero-padded copy.
+func fullLength(buf []byte, n int) []byte {
+	if len(buf) == n {
+		return buf[:n:n]
+	}
+	stored := make([]byte, n)
+	copy(stored, buf)
+	return stored
 }
 
 // EraseBlock erases the block containing PPN p (its page component is

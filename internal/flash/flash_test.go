@@ -52,6 +52,56 @@ func TestProgramReadRoundTrip(t *testing.T) {
 	})
 }
 
+// TestProgramPageOwnership pins ProgramPage's buffer contract: full-length
+// buffers become the stored page without a copy (and stay intact across an
+// erase for readers that hold them), short buffers are padded into a copy
+// the caller keeps.
+func TestProgramPageOwnership(t *testing.T) {
+	run(t, smallConfig(), func(e *sim.Engine, a *Array) {
+		cfg := a.Config()
+		full := bytes.Repeat([]byte{0x5A}, cfg.PageSize)
+		fullOOB := bytes.Repeat([]byte{0xA5}, cfg.OOBSize)
+		p0 := a.BlockPPN(0, 0, 0, 0)
+		if err := a.ProgramPage(p0, full, fullOOB); err != nil {
+			t.Fatal(err)
+		}
+		got, gotOOB, err := a.ReadPage(p0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &got[0] != &full[0] || &gotOOB[0] != &fullOOB[0] {
+			t.Error("full-length buffers were copied; ProgramPage should keep them")
+		}
+		if cap(got) != cfg.PageSize || cap(gotOOB) != cfg.OOBSize {
+			t.Errorf("stored slices have spare capacity %d/%d", cap(got), cap(gotOOB))
+		}
+
+		short := []byte{1, 2, 3}
+		shortOOB := []byte{4}
+		p1 := a.BlockPPN(0, 0, 0, 1)
+		if err := a.ProgramPage(p1, short, shortOOB); err != nil {
+			t.Fatal(err)
+		}
+		short[0], shortOOB[0] = 9, 9 // the caller still owns short buffers
+		got, gotOOB, err = a.ReadPage(p1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != cfg.PageSize || len(gotOOB) != cfg.OOBSize || got[0] != 1 || gotOOB[0] != 4 {
+			t.Errorf("short program stored %v.../%v..., want a padded copy of the original bytes", got[:3], gotOOB[:1])
+		}
+
+		// A reader holding the page keeps its view across the erase.
+		held, _, _ := a.ReadPage(p0)
+		if err := a.EraseBlock(p0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(held, bytes.Repeat([]byte{0x5A}, cfg.PageSize)) {
+			t.Error("erase changed a page buffer a reader still holds")
+		}
+	})
+}
+
 func TestReadUnwrittenFails(t *testing.T) {
 	run(t, smallConfig(), func(e *sim.Engine, a *Array) {
 		_, _, err := a.ReadPage(5)

@@ -164,7 +164,7 @@ func (d *Device) relocateGroup(group []liveSector) {
 	}
 
 	page := make([]byte, d.fc.PageSize)
-	oob := make([]byte, (d.spp+1)*8)
+	oob := make([]byte, max((d.spp+1)*8, d.fc.OOBSize)) // full OOB: ProgramPage keeps it uncopied
 	writeOOBCount(oob, len(lbas))
 	for i, s := range sectors {
 		copy(page[i*SectorSize:], s)

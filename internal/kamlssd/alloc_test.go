@@ -11,10 +11,24 @@ import (
 // getAllocBudget is the hot-path allocation ceiling for one flushed-read
 // Get (DESIGN.md §13). The seed spent ~33 allocs/Get (task + Future +
 // park-token channels per wakeup); direct execution plus pooled park
-// tokens brought the steady state under 8. The budget leaves headroom for
+// tokens brought it to 7, and allocation-free simulator waits (value
+// timers, no park-reason strings) to 2. The budget leaves headroom for
 // compiler/runtime drift, not for new per-Get allocations — if this trips,
 // something joined the hot path.
-const getAllocBudget = 12
+const getAllocBudget = 4
+
+// raceEnabled is set by race_test.go in -race builds. The race detector
+// makes sync.Pool drop pooled objects at random, so under it both budgets
+// fall back to their previous, looser ceilings.
+var raceEnabled bool
+
+// budget returns the allocation budget that applies to this build.
+func budget(tight, underRace int) int {
+	if raceEnabled {
+		return underRace
+	}
+	return tight
+}
 
 // TestGetAllocBudget pins the allocation count of the lock-free read path:
 // Gets against a flushed working set, telemetry on (the default), one
@@ -63,17 +77,21 @@ func TestGetAllocBudget(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if got > getAllocBudget {
-		t.Fatalf("flushed Get allocates %.1f/op, budget %d (see DESIGN.md §13)", got, getAllocBudget)
+	limit := budget(getAllocBudget, 12)
+	if got > float64(limit) {
+		t.Fatalf("flushed Get allocates %.1f/op, budget %d (see DESIGN.md §13)", got, limit)
 	}
-	t.Logf("flushed Get: %.1f allocs/op (budget %d)", got, getAllocBudget)
+	t.Logf("flushed Get: %.1f allocs/op (budget %d)", got, limit)
 }
 
-// putAllocBudget bounds a single-record 256 B Put. Writes inherently
-// allocate (the NVRAM stages a private copy of the value, batch and undo
-// bookkeeping, packer chunks), so this is a coarser regression tripwire
-// than the Get budget, sized ~50% above the measured steady state.
-const putAllocBudget = 48
+// putAllocBudget bounds a single-record 256 B Put. It measures 3: the
+// command (with its record), the completion future, and the key's new
+// version-chain node. Everything else on the write path is pooled or
+// reused — NVRAM entries and batch records, execPut's scratch, the
+// coalescer's buffers, simulator waits — and a sealed page costs one page
+// and one OOB allocation, spread over the page's records. The budget is
+// the measured cost plus about 25%.
+const putAllocBudget = 4
 
 // TestPutAllocBudget pins the write-path allocation count so pipeline or
 // staging changes that start allocating per record get caught.
@@ -112,8 +130,9 @@ func TestPutAllocBudget(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if got > putAllocBudget {
-		t.Fatalf("Put allocates %.1f/op, budget %d", got, putAllocBudget)
+	limit := budget(putAllocBudget, 48)
+	if got > float64(limit) {
+		t.Fatalf("Put allocates %.1f/op, budget %d", got, limit)
 	}
-	t.Logf("Put: %.1f allocs/op (budget %d)", got, putAllocBudget)
+	t.Logf("Put: %.1f allocs/op (budget %d)", got, limit)
 }

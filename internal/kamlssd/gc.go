@@ -105,8 +105,8 @@ func (d *Device) victim(lg *logState) (chipIdx, block int, ok bool) {
 			// could erase a page that is about to become live. The flusher
 			// is strictly in-order, so checking its current in-flight page
 			// is sufficient.
-			if lg.inflight != nil {
-				a := d.arr.Decode(lg.inflight.ppn)
+			if lg.inflightPPN != flash.InvalidPPN {
+				a := d.arr.Decode(lg.inflightPPN)
 				if a.Channel == ch && a.Chip == chip && a.Block == b {
 					continue
 				}
@@ -139,6 +139,7 @@ func (d *Device) collectBlock(lg *logState, chipIdx, block int) {
 	ch, chip := lg.chipAddr(chipIdx)
 	var live []gcRecord
 	var liveIndexPages []flash.PPN // swapped index pages needing relocation
+	var placed []record.Placed     // one page's records, reused page to page
 
 	for page := 0; page < d.fc.PagesPerBlock; page++ {
 		ppn := d.arr.BlockPPN(ch, chip, block, page)
@@ -174,7 +175,10 @@ func (d *Device) collectBlock(lg *logState, chipIdx, block int) {
 			}
 			continue
 		}
-		placed, perr := record.Parse(data, oob, d.cfg.ChunkSize)
+		// Parsed values alias the victim page, which stays intact until
+		// the erase below; relocation copies them into the new pages.
+		var perr error
+		placed, perr = record.ParseInto(placed, data, oob, d.cfg.ChunkSize)
 		if perr != nil {
 			panic(fmt.Sprintf("kamlssd: GC parse %d: %v", ppn, perr))
 		}
@@ -336,14 +340,15 @@ func (d *Device) gcProgram(lg *logState, data, oob []byte) (flash.PPN, error) {
 // stream and swings index entries, re-validating each record at install
 // time (it may have been superseded while GC was running).
 func (d *Device) relocateRecords(lg *logState, live []gcRecord) error {
-	packer := record.NewPacker(d.fc.PageSize, d.cfg.ChunkSize)
+	packer := record.NewPackerOOB(d.fc.PageSize, d.fc.OOBSize, d.cfg.ChunkSize)
 	var group []gcRecord
 	flush := func() error {
 		if packer.Empty() {
 			return nil
 		}
-		data, bitmap := packer.Finish()
-		ppn, perr := d.gcProgram(lg, data, d.buildOOB(bitmap, pageTypeRecord, data))
+		data, oob := packer.Finish()
+		d.sealOOB(oob, pageTypeRecord, data)
+		ppn, perr := d.gcProgram(lg, data, oob)
 		if perr != nil {
 			return perr
 		}
@@ -406,7 +411,8 @@ func (d *Device) relocateIndexPages(lg *logState, pages []flash.PPN) error {
 			}
 			continue
 		}
-		ppn, perr := d.gcProgram(lg, data, oob[:oobLen])
+		// The copy shares the old page's buffers: both are immutable.
+		ppn, perr := d.gcProgram(lg, data, oob)
 		if perr != nil {
 			return perr
 		}

@@ -3,6 +3,7 @@ package kamlssd
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/kaml-ssd/kaml/internal/flash"
@@ -28,12 +29,13 @@ type logState struct {
 	chips []*logChip
 
 	packer      *record.Packer
-	pending     []pendingRec  // records in the open packer
-	packerBorn  time.Duration // virtual time the first record entered the packer
+	pending     []pendingRec   // records in the open packer
+	pendingFree [][]pendingRec // emptied pending slices of installed pages, for reuse
+	packerBorn  time.Duration  // virtual time the first record entered the packer
 	sealedQueue []sealedPage
-	inflight    *sealedPage // page the flusher is programming right now
-	spaceCv     *sim.Cond   // on mu: queue has room / device closed
-	workCv      *sim.Cond   // on mu: packer or queue non-empty / device closed
+	inflightPPN flash.PPN // page the flusher is programming right now, or InvalidPPN
+	spaceCv     *sim.Cond // on mu: queue has room / device closed
+	workCv      *sim.Cond // on mu: packer or queue non-empty / device closed
 
 	activeHost *appendPoint
 	activeGC   *appendPoint
@@ -84,7 +86,9 @@ func newLogState(d *Device, id int) *logState {
 	lg := &logState{
 		id:     id,
 		d:      d,
-		packer: record.NewPacker(d.fc.PageSize, d.cfg.ChunkSize),
+		packer: record.NewPackerOOB(d.fc.PageSize, d.fc.OOBSize, d.cfg.ChunkSize),
+
+		inflightPPN: flash.InvalidPPN,
 	}
 	lg.mu = d.eng.NewMutex(fmt.Sprintf("kaml-log%d", id))
 	lg.spaceCv = d.eng.NewCond(lg.mu)
@@ -107,6 +111,12 @@ func (lg *logState) chipAddr(chipIdx int) (channel, chip int) {
 	return g / lg.d.fc.ChipsPerChannel, g % lg.d.fc.ChipsPerChannel
 }
 
+// errNoFreeBlocks reports that a log has no erased block to open. The host
+// stream hits it whenever it is down to the GC reserve, and polls until GC
+// frees a block, so it is one shared value: building a fresh error on every
+// poll would allocate on the write path.
+var errNoFreeBlocks = errors.New("kamlssd: out of free blocks")
+
 // gcReserveBlocks is how many free blocks per log the host append stream
 // must leave untouched so the garbage collector can always make progress
 // (relocating one victim can span two GC-stream blocks when the current
@@ -122,7 +132,7 @@ func (lg *logState) nextPPN(forGC bool) (flash.PPN, error) {
 	}
 	if *ap == nil {
 		if !forGC && lg.freeBlocks <= gcReserveBlocks {
-			return 0, fmt.Errorf("kamlssd: log %d out of free blocks", lg.id)
+			return 0, errNoFreeBlocks
 		}
 		cp, err := lg.openBlock()
 		if err != nil {
@@ -158,7 +168,7 @@ func (lg *logState) openBlock() (*appendPoint, error) {
 			return &appendPoint{chip: ci, block: b}, nil
 		}
 	}
-	return nil, fmt.Errorf("kamlssd: log %d out of free blocks", lg.id)
+	return nil, errNoFreeBlocks
 }
 
 // sealPacker moves the open packer into the sealed queue, assigning its
@@ -185,10 +195,14 @@ func (lg *logState) sealPacker() {
 	// Capture the page image and its pending descriptors atomically: the
 	// free-block wait below releases the log mutex, and records added to
 	// the fresh packer meanwhile must not leak into this sealed page.
-	data, bitmap := lg.packer.Finish()
-	oob := lg.d.buildOOB(bitmap, pageTypeRecord, data)
+	data, oob := lg.packer.Finish()
+	lg.d.sealOOB(oob, pageTypeRecord, data)
 	pend := lg.pending
 	lg.pending = nil
+	if n := len(lg.pendingFree); n > 0 {
+		lg.pending = lg.pendingFree[n-1]
+		lg.pendingFree = lg.pendingFree[:n-1]
+	}
 	ppn, err := lg.nextPPN(false)
 	for err != nil {
 		// The log is out of erased blocks; wait for GC to reclaim some.
@@ -254,8 +268,8 @@ func (d *Device) flusherLoop(lg *logState) {
 			continue
 		}
 		sp := lg.sealedQueue[0]
-		lg.sealedQueue = lg.sealedQueue[1:]
-		lg.inflight = &sp
+		lg.sealedQueue = slices.Delete(lg.sealedQueue, 0, 1) // keeps the backing array
+		lg.inflightPPN = sp.ppn
 		lg.mu.Unlock()
 
 		err := d.arr.ProgramPage(sp.ppn, sp.data, sp.oob)
@@ -294,7 +308,7 @@ func (d *Device) flusherLoop(lg *logState) {
 			}
 			sp.ppn = ppn
 			lg.sealedQueue = append(lg.sealedQueue, sp)
-			lg.inflight = nil
+			lg.inflightPPN = flash.InvalidPPN
 			lg.mu.Unlock()
 			continue
 		}
@@ -311,7 +325,8 @@ func (d *Device) flusherLoop(lg *logState) {
 		}
 		d.mu.RUnlock()
 		lg.mu.Lock()
-		lg.inflight = nil
+		lg.inflightPPN = flash.InvalidPPN
+		lg.pendingFree = append(lg.pendingFree, sp.pending[:0])
 		lg.spaceCv.Broadcast()
 		lg.mu.Unlock()
 	}

@@ -67,16 +67,11 @@ func (d *Device) ReleasePin(ts uint64) {
 }
 
 // pinsLocked gathers every pinned commit timestamp — snapshot cutoffs plus
-// transient pins — ascending and deduplicated. The list is global rather
-// than per-family: a foreign family's pin at worst retains a few extra
-// versions until the next prune. Caller holds d.mu (read or write).
-func (d *Device) pinsLocked() []uint64 {
-	return d.pinsAppend(make([]uint64, 0, 8))
-}
-
-// pinsAppend is pinsLocked into a caller-owned buffer (overwritten from
-// the start), so steady-state callers avoid the per-pass allocation.
-func (d *Device) pinsAppend(pins []uint64) []uint64 {
+// transient pins — ascending and deduplicated, into pins (overwritten from
+// the start), so steady-state callers reuse one buffer. The list is global
+// rather than per-family: a foreign family's pin at worst retains a few
+// extra versions until the next prune. Caller holds d.mu (read or write).
+func (d *Device) pinsLocked(pins []uint64) []uint64 {
 	pins = pins[:0]
 	for _, ns := range d.namespaces {
 		if ns.readonly && ns.cutoff != noCutoff {
@@ -99,10 +94,10 @@ func (d *Device) pinsAppend(pins []uint64) []uint64 {
 }
 
 // snapshotPins is pinsLocked for callers not holding d.mu.
-func (d *Device) snapshotPins() []uint64 {
+func (d *Device) snapshotPins(pins []uint64) []uint64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.pinsLocked()
+	return d.pinsLocked(pins)
 }
 
 // versionDead releases the flash space of a pruned version. NVRAM-resident
@@ -118,7 +113,7 @@ func (d *Device) versionDead(_ uint64, loc uint64) {
 // timestamps. Chain heads are protected only while the family root is
 // alive. Caller holds d.mu.
 func (d *Device) pruneFamilyLocked(fam *family) {
-	pins := d.pinsLocked()
+	pins := d.pinsLocked(nil)
 	keepHead := fam.rootLive
 	fam.root.mu.Lock()
 	n := fam.chains.PruneAll(pins, keepHead, d.versionDead, d.chainLenObs)
@@ -145,7 +140,7 @@ func (d *Device) pruneFamilies() {
 	for _, f := range fams {
 		keep = append(keep, f.rootLive)
 	}
-	pins := d.pinsAppend(d.gcPrunePins)
+	pins := d.pinsLocked(d.gcPrunePins)
 	d.mu.RUnlock()
 	for i, f := range fams {
 		f.root.mu.Lock()

@@ -8,28 +8,34 @@ import (
 	"github.com/kaml-ssd/kaml/internal/flash"
 )
 
-// stagingPool recycles NVRAM staging buffers. Buffers are allocated at the
-// device's max value size class on first use and re-sliced per value, so the
-// pool converges to a handful of page-sized byte slices per live batch.
+// stagingPool recycles NVRAM staging entries together with their value
+// buffers. An entry is taken at stage time and returned when it is
+// released (installed, aborted, dropped or finished); its buffer keeps its
+// capacity, so once the pool holds buffers as large as the workload's
+// values, staging a value allocates nothing.
 var stagingPool = sync.Pool{
-	New: func() any { return make([]byte, 0, 8192) },
+	New: func() any { return new(nvEntry) },
 }
 
-// getStaging returns a pooled buffer holding a copy of val.
-func getStaging(val []byte) []byte {
-	buf := stagingPool.Get().([]byte)
-	if cap(buf) < len(val) {
-		buf = make([]byte, 0, len(val))
-	}
-	return append(buf[:0], val...)
+// batchPool recycles batch records with their seqs slices, for the same
+// reason.
+var batchPool = sync.Pool{
+	New: func() any { return new(nvBatch) },
 }
 
-// putStaging recycles a staging buffer. Callers must not touch the slice
-// afterwards.
-func putStaging(buf []byte) {
-	if buf != nil {
-		stagingPool.Put(buf[:0])
-	}
+// newEntry returns a pooled entry holding a copy of val.
+func newEntry(ns uint32, key uint64, val []byte, batch uint64) *nvEntry {
+	e := stagingPool.Get().(*nvEntry)
+	e.ns, e.key, e.batch = ns, key, batch
+	e.val = append(e.val[:0], val...)
+	return e
+}
+
+// releaseEntry recycles an entry removed from the values map. Callers must
+// not touch it afterwards.
+func releaseEntry(e *nvEntry) {
+	*e = nvEntry{val: e.val[:0]}
+	stagingPool.Put(e)
 }
 
 // NVRAM models the device's battery-backed memory region (paper §III-C,
@@ -57,11 +63,11 @@ func putStaging(buf []byte) {
 // commit marker is modeled as a single atomic NVRAM write (an 8-byte flag),
 // the standard assumption for battery-backed commit records.
 //
-// Staged value buffers come from a pool: a value is copied in once at stage
-// time and the buffer is recycled when the entry is released (installed,
-// aborted, or dropped), so the steady-state Put path allocates nothing for
-// staging. Readers must copy out under nvMu — value() returns the pooled
-// buffer itself.
+// Staged entries and their value buffers come from a pool: a value is
+// copied in once at stage time and the entry is recycled when it is
+// released (installed, aborted, or dropped), so the steady-state Put path
+// allocates nothing for staging. Readers must copy out under nvMu —
+// value() returns the pooled buffer itself.
 type NVRAM struct {
 	nextNSID  uint32
 	nvSeq     uint64
@@ -139,9 +145,19 @@ func NewNVRAM() *NVRAM {
 func (nv *NVRAM) beginBatch(n int) (batch, firstSeq uint64) {
 	nv.nextBatch++
 	firstSeq = nv.nvSeq + 1
-	nv.batches[nv.nextBatch] = &nvBatch{first: firstSeq}
+	b := batchPool.Get().(*nvBatch)
+	b.first = firstSeq
+	nv.batches[nv.nextBatch] = b
 	nv.nvSeq += uint64(n)
 	return nv.nextBatch, firstSeq
+}
+
+// retireBatch forgets a batch whose values are all released (or that
+// was rolled back) and recycles its record.
+func (nv *NVRAM) retireBatch(id uint64, b *nvBatch) {
+	delete(nv.batches, id)
+	*b = nvBatch{seqs: b.seqs[:0]}
+	batchPool.Put(b)
 }
 
 // settledSeq returns the newest commit timestamp with no in-flight batch
@@ -163,7 +179,7 @@ func (nv *NVRAM) settledSeq() uint64 {
 // Unused reserved seqs (a batch aborted mid-stage, or the split-commit test
 // path re-reserving) are harmless gaps in the timestamp space.
 func (nv *NVRAM) stage(seq uint64, ns uint32, key uint64, val []byte, batch uint64) {
-	nv.values[seq] = &nvEntry{ns: ns, key: key, val: getStaging(val), batch: batch}
+	nv.values[seq] = newEntry(ns, key, val, batch)
 	nv.staged.Add(1)
 	b := nv.batches[batch]
 	b.seqs = append(b.seqs, seq)
@@ -182,12 +198,12 @@ func (nv *NVRAM) commitBatch(batch uint64) {
 		if e := nv.values[seq]; e != nil && e.installed {
 			delete(nv.values, seq)
 			nv.staged.Add(-1)
-			putStaging(e.val)
+			releaseEntry(e)
 			b.remaining--
 		}
 	}
 	if b.remaining == 0 {
-		delete(nv.batches, batch)
+		nv.retireBatch(batch, b)
 	}
 }
 
@@ -203,11 +219,11 @@ func (nv *NVRAM) abortBatch(batch uint64) {
 		if e := nv.values[seq]; e != nil {
 			delete(nv.values, seq)
 			nv.staged.Add(-1)
-			putStaging(e.val)
+			releaseEntry(e)
 		}
 		nv.aborted[seq] = struct{}{}
 	}
-	delete(nv.batches, batch)
+	nv.retireBatch(batch, b)
 }
 
 // installed records that seq's flash copy is now pointed at by the index.
@@ -225,13 +241,13 @@ func (nv *NVRAM) installed(seq uint64) {
 	}
 	delete(nv.values, seq)
 	nv.staged.Add(-1)
-	putStaging(e.val)
 	if b != nil {
 		b.remaining--
 		if b.remaining == 0 {
-			delete(nv.batches, e.batch)
+			nv.retireBatch(e.batch, b)
 		}
 	}
+	releaseEntry(e)
 }
 
 // value returns the staged bytes for seq.
@@ -288,12 +304,12 @@ func (nv *NVRAM) dropUncommitted() int {
 			if e, ok := nv.values[seq]; ok {
 				delete(nv.values, seq)
 				nv.staged.Add(-1)
-				putStaging(e.val)
+				releaseEntry(e)
 				dropped++
 			}
 			nv.aborted[seq] = struct{}{}
 		}
-		delete(nv.batches, id)
+		nv.retireBatch(id, b)
 	}
 	return dropped
 }
@@ -308,13 +324,13 @@ func (nv *NVRAM) finish(seq uint64) {
 	}
 	delete(nv.values, seq)
 	nv.staged.Add(-1)
-	putStaging(e.val)
 	if b := nv.batches[e.batch]; b != nil {
 		b.remaining--
 		if b.remaining == 0 {
-			delete(nv.batches, e.batch)
+			nv.retireBatch(e.batch, b)
 		}
 	}
+	releaseEntry(e)
 }
 
 // hasStaged reports, without any lock, whether any value is staged. False

@@ -24,23 +24,34 @@ const (
 
 var oobMagic = [2]byte{'K', 'M'}
 
-// buildOOB assembles the full OOB for a page about to be programmed.
-// bitmap is the packer's 8-byte chunk bitmap (nil for non-record pages);
-// data is the page payload, padded with zeros to the page size for the CRC
-// so the checksum matches what a later full-page read returns.
-func (d *Device) buildOOB(bitmap []byte, ptype byte, data []byte) []byte {
-	oob := make([]byte, oobLen)
-	copy(oob, bitmap)
+// buildOOB returns a fresh full-size OOB area for a page without records
+// (bitmap zero). data is the page payload, padded with zeros to the page
+// size for the CRC so the checksum matches what a later full-page read
+// returns.
+func (d *Device) buildOOB(ptype byte, data []byte) []byte {
+	oob := make([]byte, d.fc.OOBSize)
+	d.sealOOB(oob, ptype, data)
+	return oob
+}
+
+// sealOOB fills in the type, magic and CRC of an OOB area in place,
+// leaving its first 8 bytes (the record chunk bitmap) as they are.
+func (d *Device) sealOOB(oob []byte, ptype byte, data []byte) {
 	oob[oobTypeOff] = ptype
 	oob[oobMagicOff] = oobMagic[0]
 	oob[oobMagicOff+1] = oobMagic[1]
 	crc := crc32.ChecksumIEEE(data)
-	if pad := d.fc.PageSize - len(data); pad > 0 {
-		crc = crc32.Update(crc, crc32.IEEETable, make([]byte, pad))
+	for pad := d.fc.PageSize - len(data); pad > 0; {
+		n := min(pad, len(zeroPad))
+		crc = crc32.Update(crc, crc32.IEEETable, zeroPad[:n])
+		pad -= n
 	}
 	binary.LittleEndian.PutUint32(oob[oobCRCOff:oobCRCOff+4], crc)
-	return oob
 }
+
+// zeroPad feeds a short page's zero padding to the CRC without
+// allocating it.
+var zeroPad [1024]byte
 
 // checkOOB verifies a scanned page's magic and CRC against its data and
 // returns the page type. ok=false means the page is torn, garbage, or

@@ -1,9 +1,12 @@
 package kamlssd
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"github.com/kaml-ssd/kaml/internal/cmdq"
@@ -25,6 +28,36 @@ type undoEntry struct {
 	oldVal  uint64
 	seq     uint64
 	node    *hashindex.Version
+}
+
+// putScratch is execPut's per-call working set. It is pooled so that a
+// steady stream of Puts reuses the slices instead of allocating them on
+// every batch; execPut clears the pointers before returning it.
+type putScratch struct {
+	keys []nskey
+	nss  []*namespace // the batch's distinct namespaces, first-seen order
+	undo []undoEntry
+	pins []uint64
+}
+
+var putScratchPool = sync.Pool{New: func() any { return new(putScratch) }}
+
+// ns returns the batch namespace with the given ID, or nil if the batch
+// has not resolved it yet.
+func (sc *putScratch) ns(id uint32) *namespace {
+	for _, ns := range sc.nss {
+		if ns.id == id {
+			return ns
+		}
+	}
+	return nil
+}
+
+func (sc *putScratch) release() {
+	clear(sc.nss)
+	clear(sc.undo)
+	sc.keys, sc.nss, sc.undo, sc.pins = sc.keys[:0], sc.nss[:0], sc.undo[:0], sc.pins[:0]
+	putScratchPool.Put(sc)
 }
 
 // PutRecord is one element of an atomic Put batch (Table I: Put takes
@@ -234,16 +267,19 @@ func (d *Device) Put(batch []PutRecord) error {
 // how many; the records of one merged command are contiguous, and the
 // coalescer guarantees the merged batch is free of duplicate keys).
 func (d *Device) execPut(batch []cmdq.Record, merged int) error {
+	sc := putScratchPool.Get().(*putScratch)
+	defer sc.release()
 	// Phase 1a: lock every touched index entry, in sorted order.
-	keys := make([]nskey, 0, len(batch))
+	keys := sc.keys
 	for _, r := range batch {
 		keys = append(keys, nskey{ns: r.Namespace, key: r.Key})
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].ns != keys[j].ns {
-			return keys[i].ns < keys[j].ns
+	sc.keys = keys
+	slices.SortFunc(keys, func(a, b nskey) int {
+		if c := cmp.Compare(a.ns, b.ns); c != 0 {
+			return c
 		}
-		return keys[i].key < keys[j].key
+		return cmp.Compare(a.key, b.key)
 	})
 	for i := 1; i < len(keys); i++ {
 		if keys[i] == keys[i-1] {
@@ -257,14 +293,13 @@ func (d *Device) execPut(batch []cmdq.Record, merged int) error {
 	// Resolve and validate every namespace up front, and mark one
 	// in-flight batch per namespace so snapshot creation waits out
 	// half-staged batches (see SnapshotNamespace).
-	nss := make(map[uint32]*namespace, len(batch))
 	defer func() {
-		for _, ns := range nss {
+		for _, ns := range sc.nss {
 			ns.pendingBatches.Add(-1)
 		}
 	}()
 	for _, r := range batch {
-		if _, ok := nss[r.Namespace]; ok {
+		if sc.ns(r.Namespace) != nil {
 			continue
 		}
 		ns, lerr := d.lookupNS(r.Namespace)
@@ -286,7 +321,7 @@ func (d *Device) execPut(batch []cmdq.Record, merged int) error {
 			}
 		}
 		ns.pendingBatches.Add(1)
-		nss[r.Namespace] = ns
+		sc.nss = append(sc.nss, ns)
 	}
 	d.keyLks.lockAll(keys)
 
@@ -306,7 +341,7 @@ func (d *Device) execPut(batch []cmdq.Record, merged int) error {
 	d.nvMu.Unlock()
 	totalProbes := 0
 	newKeys := 0
-	undo := make([]undoEntry, 0, len(batch))
+	undo := sc.undo
 	abort := func(aerr error) error {
 		d.rollbackStaged(undo)
 		d.nvMu.Lock()
@@ -352,7 +387,7 @@ func (d *Device) execPut(batch []cmdq.Record, merged int) error {
 			d.noticePowerLoss()
 			return abort(ErrPowerLoss)
 		}
-		ns := nss[r.Namespace]
+		ns := sc.ns(r.Namespace)
 
 		seq := seqCur
 		seqCur++
@@ -400,6 +435,7 @@ func (d *Device) execPut(batch []cmdq.Record, merged int) error {
 			newKeys++
 		}
 		undo = append(undo, undoEntry{ns: ns, key: r.Key, existed: existed, oldVal: old, seq: seq, node: node})
+		sc.undo = undo
 
 		rec := record.Record{Namespace: r.Namespace, Key: r.Key, Seq: seq, Value: r.Value}
 		lg := d.logs[lgID]
@@ -450,7 +486,8 @@ func (d *Device) execPut(batch []cmdq.Record, merged int) error {
 	for _, u := range undo {
 		u.ns.fam.chains.Commit(u.node)
 	}
-	pins := d.snapshotPins()
+	sc.pins = d.snapshotPins(sc.pins)
+	pins := sc.pins
 	pruned := 0
 	for _, u := range undo {
 		u.ns.mu.Lock()

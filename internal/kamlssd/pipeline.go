@@ -51,7 +51,11 @@ func (d *Device) SubmitPut(batch []PutRecord) *cmdq.Future {
 			seen[k] = true
 		}
 	}
-	recs := make([]cmdq.Record, len(batch))
+	pc := &putCommand{}
+	recs := pc.one[:]
+	if len(batch) > 1 {
+		recs = make([]cmdq.Record, len(batch))
+	}
 	for i, r := range batch {
 		recs[i] = cmdq.Record{Namespace: r.Namespace, Key: r.Key, Value: r.Value}
 	}
@@ -59,8 +63,16 @@ func (d *Device) SubmitPut(batch []PutRecord) *cmdq.Future {
 	if len(recs) > 1 {
 		op = cmdq.OpPutBatch
 	}
+	pc.cmd = cmdq.Command{Op: op, Records: recs}
 	d.ctrl.Submission()
-	return d.pipe.Submit(&cmdq.Command{Op: op, Records: recs})
+	return d.pipe.Submit(&pc.cmd)
+}
+
+// putCommand allocates a write command together with the record of a
+// single-record Put, the common case, in one object.
+type putCommand struct {
+	cmd cmdq.Command
+	one [1]cmdq.Record
 }
 
 // SubmitSnapshot enqueues a snapshot command; the new namespace ID arrives

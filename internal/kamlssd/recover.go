@@ -352,7 +352,7 @@ func (d *Device) scanBlock(lg *logState, cr *chainRebuild, ch, chip, b, n int) e
 // advance the block; a worn-out block is retired instead.
 func (d *Device) padBlock(lc *logChip, ch, chip, b int) error {
 	data := make([]byte, d.fc.PageSize)
-	oob := d.buildOOB(nil, pageTypeRecord, data)
+	oob := d.buildOOB(pageTypeRecord, data) // shared by every pad page; never modified
 	first := d.arr.BlockPPN(ch, chip, b, 0)
 	for {
 		n := d.arr.ProgrammedPages(first)

@@ -80,9 +80,11 @@ func (d *Device) SwapOutIndex(nsID uint32) error {
 		ppn, err := lg.nextPPN(true)
 		lg.mu.Unlock()
 		if err != nil {
-			return err
+			return fmt.Errorf("%w in log %d", err, lg.id)
 		}
-		if err := d.arr.ProgramPage(ppn, blob[off:end], d.buildOOB(nil, pageTypeIndex, blob[off:end])); err != nil {
+		// blob is never modified after this point, so the array may keep
+		// its full-page slices.
+		if err := d.arr.ProgramPage(ppn, blob[off:end], d.buildOOB(pageTypeIndex, blob[off:end])); err != nil {
 			return err
 		}
 		pages = append(pages, ppn)

@@ -52,8 +52,18 @@ func (r Record) Marshal(dst []byte) []byte {
 	return append(dst, r.Value...)
 }
 
-// Unmarshal decodes a record that starts at the beginning of b.
+// Unmarshal decodes a record that starts at the beginning of b. The value
+// is a copy: the record stays valid after b is reused.
 func Unmarshal(b []byte) (Record, error) {
+	r, err := decode(b)
+	if err == nil {
+		r.Value = append([]byte(nil), r.Value...)
+	}
+	return r, err
+}
+
+// decode is Unmarshal with the value aliasing b.
+func decode(b []byte) (Record, error) {
 	if len(b) < HeaderSize {
 		return Record{}, errors.New("record: short header")
 	}
@@ -65,17 +75,22 @@ func Unmarshal(b []byte) (Record, error) {
 		Namespace: binary.LittleEndian.Uint32(b[0:4]),
 		Key:       binary.LittleEndian.Uint64(b[4:12]),
 		Seq:       binary.LittleEndian.Uint64(b[12:20]),
-		Value:     append([]byte(nil), b[HeaderSize:HeaderSize+int(vlen)]...),
+		Value:     b[HeaderSize : HeaderSize+int(vlen) : HeaderSize+int(vlen)],
 	}, nil
 }
+
+// BitmapSize is the length of the chunk bitmap at the start of a page's
+// OOB area.
+const BitmapSize = 8
 
 // Packer accumulates records into one flash page image.
 type Packer struct {
 	pageSize  int
+	oobSize   int
 	chunkSize int
-	chunks    int // total chunks per page
-	used      int // chunks consumed so far
-	data      []byte
+	chunks    int    // total chunks per page
+	used      int    // chunks consumed so far
+	data      []byte // page image; nil until the first Add
 	bitmap    uint64
 	count     int
 }
@@ -84,6 +99,15 @@ type Packer struct {
 // pageSize/chunkSize chunks. pageSize must be a multiple of chunkSize and
 // produce at most 64 chunks (the OOB bitmap is 8 bytes).
 func NewPacker(pageSize, chunkSize int) *Packer {
+	return NewPackerOOB(pageSize, BitmapSize, chunkSize)
+}
+
+// NewPackerOOB is NewPacker for pages whose OOB area is oobSize bytes
+// (at least BitmapSize). Finish then returns the page and its full OOB
+// area, so the caller can fill in the rest of the OOB in place and hand
+// both buffers to flash.Array.ProgramPage, which keeps full-length buffers
+// without copying them.
+func NewPackerOOB(pageSize, oobSize, chunkSize int) *Packer {
 	if chunkSize <= 0 || pageSize%chunkSize != 0 {
 		panic(fmt.Sprintf("record: page %d not a multiple of chunk %d", pageSize, chunkSize))
 	}
@@ -91,11 +115,14 @@ func NewPacker(pageSize, chunkSize int) *Packer {
 	if n > 64 {
 		panic(fmt.Sprintf("record: %d chunks exceed 64-bit bitmap", n))
 	}
+	if oobSize < BitmapSize {
+		panic(fmt.Sprintf("record: OOB %d bytes cannot hold the %d-byte bitmap", oobSize, BitmapSize))
+	}
 	return &Packer{
 		pageSize:  pageSize,
+		oobSize:   oobSize,
 		chunkSize: chunkSize,
 		chunks:    n,
-		data:      make([]byte, 0, pageSize),
 	}
 }
 
@@ -123,6 +150,9 @@ func (p *Packer) Add(r Record) int {
 		panic("record: Add without Fits")
 	}
 	start := p.used
+	if p.data == nil {
+		p.data = make([]byte, 0, p.pageSize)
+	}
 	p.data = r.Marshal(p.data)
 	// Pad to the chunk boundary so the next record starts on a fresh chunk.
 	if pad := (start+need)*p.chunkSize - len(p.data); pad > 0 {
@@ -134,16 +164,22 @@ func (p *Packer) Add(r Record) int {
 	return start
 }
 
-// Finish returns the page image (padded to the full page size) and the
-// 8-byte OOB bitmap, then resets the packer for the next page.
+// Finish returns the page image (padded with zeros to the full page size)
+// and the OOB area (the chunk bitmap in its first BitmapSize bytes, zeros
+// after), then resets the packer for the next page. Both slices are the
+// caller's from here on: the packer starts the next page in a fresh
+// buffer. Page and OOB are two allocations on purpose: an 8 KB page plus
+// its OOB in one block would fall into the allocator's next size class
+// and waste about 1 KB of every stored page.
 func (p *Packer) Finish() (data []byte, oob []byte) {
 	data = p.data
-	if len(data) < p.pageSize {
-		data = append(data, make([]byte, p.pageSize-len(data))...)
+	if data == nil {
+		data = make([]byte, 0, p.pageSize)
 	}
-	oob = make([]byte, 8)
+	data = data[:p.pageSize] // the tail past the last record is still zero
+	oob = make([]byte, p.oobSize)
 	binary.LittleEndian.PutUint64(oob, p.bitmap)
-	p.data = make([]byte, 0, p.pageSize)
+	p.data = nil
 	p.bitmap = 0
 	p.used = 0
 	p.count = 0
@@ -158,14 +194,23 @@ type Placed struct {
 }
 
 // Parse decodes a packed page back into its records using the OOB bitmap,
-// exactly as the firmware's GC does (paper §IV-E).
+// exactly as the firmware's GC does (paper §IV-E). Record values alias
+// data rather than copying it; a caller that keeps a value beyond the
+// life of data must copy it. Flash pages never change between program and
+// erase, so values parsed from a ReadPage result stay valid.
 func Parse(data, oob []byte, chunkSize int) ([]Placed, error) {
-	if len(oob) < 8 {
+	return ParseInto(nil, data, oob, chunkSize)
+}
+
+// ParseInto is Parse appending to dst[:0], so a caller that parses page
+// after page can reuse one slice.
+func ParseInto(dst []Placed, data, oob []byte, chunkSize int) ([]Placed, error) {
+	if len(oob) < BitmapSize {
 		return nil, errors.New("record: OOB too short for bitmap")
 	}
-	bitmap := binary.LittleEndian.Uint64(oob[:8])
+	bitmap := binary.LittleEndian.Uint64(oob[:BitmapSize])
 	chunks := len(data) / chunkSize
-	var out []Placed
+	out := dst[:0]
 	start := 0
 	for i := 0; i < chunks && i < 64; i++ {
 		if bitmap&(1<<uint(i)) == 0 {
@@ -175,7 +220,7 @@ func Parse(data, oob []byte, chunkSize int) ([]Placed, error) {
 		if hi > len(data) {
 			return nil, fmt.Errorf("record: bitmap points past page (%d > %d)", hi, len(data))
 		}
-		r, err := Unmarshal(data[lo:hi])
+		r, err := decode(data[lo:hi])
 		if err != nil {
 			return nil, fmt.Errorf("record: chunk %d..%d: %w", start, i, err)
 		}

@@ -197,3 +197,41 @@ func TestParseBadOOB(t *testing.T) {
 		t.Fatal("short OOB accepted")
 	}
 }
+
+// TestParseIntoReusesAndAliases checks that ParseInto appends into the
+// slice it is given, and that parsed values alias the page rather than
+// copying it (Unmarshal and At still copy).
+func TestParseIntoReusesAndAliases(t *testing.T) {
+	p := NewPackerOOB(8192, 256, 128)
+	p.Add(Record{Namespace: 1, Key: 1, Value: []byte("first")})
+	p.Add(Record{Namespace: 1, Key: 2, Value: []byte("second")})
+	data, oob := p.Finish()
+	if len(data) != 8192 || len(oob) != 256 {
+		t.Fatalf("Finish returned %d+%d bytes, want 8192+256", len(data), len(oob))
+	}
+	buf := make([]Placed, 0, 4)
+	placed, err := ParseInto(buf, data, oob, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(placed) != 2 || &placed[0] != &buf[:1][0] {
+		t.Fatalf("ParseInto did not fill the given slice: %d records", len(placed))
+	}
+	v := placed[1].Record.Value
+	if string(v) != "second" {
+		t.Fatalf("value %q", v)
+	}
+	if &v[0] != &data[placed[1].StartChunk*128+HeaderSize] {
+		t.Error("parsed value is a copy; it should alias the page")
+	}
+	if cap(v) != len(v) {
+		t.Errorf("aliased value has spare capacity %d > %d: an append would overwrite the page", cap(v), len(v))
+	}
+	at, err := At(data, placed[1].StartChunk, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &at.Value[0] == &v[0] {
+		t.Error("At returned an aliasing value; Get hands it to the host, so it must copy")
+	}
+}

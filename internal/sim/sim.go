@@ -15,9 +15,9 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -38,7 +38,7 @@ type Engine struct {
 
 	// waiters parked on mutexes/conds/semaphores; tracked only so that a
 	// true deadlock produces a diagnostic instead of a silent hang.
-	parked map[*parkToken]string
+	parked map[*parkToken]parkReason
 
 	// Serialized scheduling (see Serialize): at most one actor executes at
 	// a time and every wakeup is deferred into ready, from which the next
@@ -56,7 +56,7 @@ type Engine struct {
 // NewEngine returns an engine with the clock at zero and no actors.
 func NewEngine() *Engine {
 	return &Engine{
-		parked: make(map[*parkToken]string),
+		parked: make(map[*parkToken]parkReason),
 		idle:   make(chan struct{}),
 	}
 }
@@ -168,16 +168,27 @@ func (e *Engine) Sleep(d time.Duration) {
 	tok := newParkToken()
 	e.mu.Lock()
 	e.seq++
-	heap.Push(&e.timers, &timer{when: e.now + d, seq: e.seq, tok: tok})
-	e.blockLocked(tok, "sleep")
+	e.timers.push(timer{when: e.now + d, seq: e.seq, tok: tok})
+	e.blockLocked(tok, "sleep", "")
 	e.mu.Unlock()
 	tok.park()
 }
 
+// parkReason says what a parked actor waits on, for the deadlock dump. It
+// is kept as its parts so that parking builds no string; String joins them
+// only when a dump is actually rendered.
+type parkReason struct {
+	kind string // primitive, with its trailing colon when name follows
+	name string
+}
+
+func (r parkReason) String() string { return r.kind + r.name }
+
 // blockLocked marks the calling actor as parked and, if it was the last
-// runnable actor, lets the engine pick what runs next. Caller holds e.mu.
-func (e *Engine) blockLocked(tok *parkToken, why string) {
-	e.parked[tok] = why
+// runnable actor, lets the engine pick what runs next. kind and name
+// describe the wait (see parkReason). Caller holds e.mu.
+func (e *Engine) blockLocked(tok *parkToken, kind, name string) {
+	e.parked[tok] = parkReason{kind: kind, name: name}
 	e.runnable--
 	if e.runnable == 0 {
 		e.unblockLocked()
@@ -252,8 +263,7 @@ func (e *Engine) advanceLocked() {
 	e.now = first
 	e.nowCheap.Store(int64(first))
 	for len(e.timers) > 0 && e.timers[0].when == first {
-		t := heap.Pop(&e.timers).(*timer)
-		e.wakeLocked(t.tok)
+		e.wakeLocked(e.timers.pop().tok)
 	}
 }
 
@@ -294,7 +304,7 @@ func (e *Engine) stateLocked() string {
 		e.now, e.actors, e.runnable, len(e.parked), len(e.timers))
 	reasons := make(map[string]int)
 	for _, why := range e.parked {
-		reasons[why]++
+		reasons[why.String()]++
 	}
 	keys := make([]string, 0, len(reasons))
 	for k := range reasons {
@@ -332,28 +342,82 @@ func (tok *parkToken) park() {
 	parkTokenPool.Put(tok)
 }
 
+// timer is one pending Sleep wakeup. Timers are stored by value in a
+// binary min-heap ordered by (when, seq): seq is unique, so the pop order
+// is a total order and independent of the heap's internal layout.
 type timer struct {
 	when time.Duration
 	seq  uint64
 	tok  *parkToken
 }
 
-type timerHeap []*timer
-
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
+func (t timer) before(u timer) bool {
+	if t.when != u.when {
+		return t.when < u.when
 	}
-	return h[i].seq < h[j].seq
+	return t.seq < u.seq
 }
-func (h timerHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x interface{}) { *h = append(*h, x.(*timer)) }
-func (h *timerHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
+
+// timerHeap is a value-typed min-heap, so scheduling a Sleep allocates
+// nothing once the backing array has grown to the peak timer count.
+type timerHeap []timer
+
+func (h *timerHeap) push(t timer) {
+	*h = append(*h, t)
+	q := *h
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !q[i].before(q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+}
+
+// pop removes and returns the earliest timer. The heap must be non-empty.
+func (h *timerHeap) pop() timer {
+	q := *h
+	n := len(q) - 1
+	t := q[0]
+	q[0] = q[n]
+	q[n] = timer{}
+	q = q[:n]
+	for i := 0; ; {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		c := l
+		if r := l + 1; r < n && q[r].before(q[l]) {
+			c = r
+		}
+		if !q[c].before(q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
 	return t
+}
+
+// waitQueue is a FIFO of parked actors. It keeps its backing array across
+// pops and resets, so a primitive's steady-state handoffs allocate nothing.
+type waitQueue []*parkToken
+
+func (q *waitQueue) push(tok *parkToken) { *q = append(*q, tok) }
+
+// pop removes and returns the oldest waiter. The queue must be non-empty.
+func (q *waitQueue) pop() *parkToken {
+	tok := (*q)[0]
+	*q = slices.Delete(*q, 0, 1)
+	return tok
+}
+
+// reset empties the queue, keeping its capacity.
+func (q *waitQueue) reset() {
+	clear(*q)
+	*q = (*q)[:0]
 }

@@ -9,7 +9,7 @@ type Mutex struct {
 	e       *Engine
 	locked  bool
 	name    string
-	waiters []*parkToken
+	waiters waitQueue
 }
 
 // NewMutex returns an unlocked mutex owned by engine e.
@@ -27,8 +27,8 @@ func (m *Mutex) Lock() {
 		return
 	}
 	tok := newParkToken()
-	m.waiters = append(m.waiters, tok)
-	e.blockLocked(tok, "mutex:"+m.name)
+	m.waiters.push(tok)
+	e.blockLocked(tok, "mutex:", m.name)
 	e.mu.Unlock()
 	tok.park()
 }
@@ -54,9 +54,7 @@ func (m *Mutex) Unlock() {
 		panic("sim: unlock of unlocked Mutex " + m.name)
 	}
 	if len(m.waiters) > 0 {
-		tok := m.waiters[0]
-		m.waiters = m.waiters[1:]
-		e.wakeLocked(tok) // lock stays held, ownership transfers
+		e.wakeLocked(m.waiters.pop()) // lock stays held, ownership transfers
 	} else {
 		m.locked = false
 	}
@@ -74,7 +72,7 @@ func (m *Mutex) Use(d time.Duration) {
 // Cond is a condition variable tied to a Mutex, with FIFO wakeup.
 type Cond struct {
 	L       *Mutex
-	waiters []*parkToken
+	waiters waitQueue
 }
 
 // NewCond returns a condition variable whose Wait releases and reacquires l.
@@ -86,16 +84,14 @@ func (c *Cond) Wait() {
 	e := c.L.e
 	tok := newParkToken()
 	e.mu.Lock()
-	c.waiters = append(c.waiters, tok)
+	c.waiters.push(tok)
 	// Release the mutex inline (same logic as Unlock, under e.mu already).
 	if len(c.L.waiters) > 0 {
-		next := c.L.waiters[0]
-		c.L.waiters = c.L.waiters[1:]
-		e.wakeLocked(next)
+		e.wakeLocked(c.L.waiters.pop())
 	} else {
 		c.L.locked = false
 	}
-	e.blockLocked(tok, "cond:"+c.L.name)
+	e.blockLocked(tok, "cond:", c.L.name)
 	e.mu.Unlock()
 	tok.park()
 	c.L.Lock()
@@ -106,9 +102,7 @@ func (c *Cond) Signal() {
 	e := c.L.e
 	e.mu.Lock()
 	if len(c.waiters) > 0 {
-		tok := c.waiters[0]
-		c.waiters = c.waiters[1:]
-		e.wakeLocked(tok)
+		e.wakeLocked(c.waiters.pop())
 	}
 	e.mu.Unlock()
 }
@@ -120,7 +114,7 @@ func (c *Cond) Broadcast() {
 	for _, tok := range c.waiters {
 		e.wakeLocked(tok)
 	}
-	c.waiters = nil
+	c.waiters.reset()
 	e.mu.Unlock()
 }
 
@@ -130,7 +124,7 @@ type Semaphore struct {
 	e       *Engine
 	name    string
 	avail   int
-	waiters []*parkToken
+	waiters waitQueue
 }
 
 // NewSemaphore returns a semaphore with n initial permits.
@@ -151,8 +145,8 @@ func (s *Semaphore) Acquire() {
 		return
 	}
 	tok := newParkToken()
-	s.waiters = append(s.waiters, tok)
-	e.blockLocked(tok, "sem:"+s.name)
+	s.waiters.push(tok)
+	e.blockLocked(tok, "sem:", s.name)
 	e.mu.Unlock()
 	tok.park()
 }
@@ -162,9 +156,7 @@ func (s *Semaphore) Release() {
 	e := s.e
 	e.mu.Lock()
 	if len(s.waiters) > 0 {
-		tok := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		e.wakeLocked(tok) // permit transfers to waiter
+		e.wakeLocked(s.waiters.pop()) // permit transfers to waiter
 	} else {
 		s.avail++
 	}
@@ -184,8 +176,8 @@ type RWMutex struct {
 	name         string
 	readers      int
 	writer       bool
-	readWaiters  []*parkToken
-	writeWaiters []*parkToken
+	readWaiters  waitQueue
+	writeWaiters waitQueue
 }
 
 // NewRWMutex returns an unlocked RWMutex owned by engine e.
@@ -203,8 +195,8 @@ func (m *RWMutex) RLock() {
 		return
 	}
 	tok := newParkToken()
-	m.readWaiters = append(m.readWaiters, tok)
-	e.blockLocked(tok, "rwmutex-r:"+m.name)
+	m.readWaiters.push(tok)
+	e.blockLocked(tok, "rwmutex-r:", m.name)
 	e.mu.Unlock()
 	tok.park()
 }
@@ -234,8 +226,8 @@ func (m *RWMutex) Lock() {
 		return
 	}
 	tok := newParkToken()
-	m.writeWaiters = append(m.writeWaiters, tok)
-	e.blockLocked(tok, "rwmutex-w:"+m.name)
+	m.writeWaiters.push(tok)
+	e.blockLocked(tok, "rwmutex-w:", m.name)
 	e.mu.Unlock()
 	tok.park()
 }
@@ -258,24 +250,22 @@ func (m *RWMutex) Unlock() {
 func (m *RWMutex) promoteLocked() {
 	e := m.e
 	if len(m.writeWaiters) > 0 {
-		tok := m.writeWaiters[0]
-		m.writeWaiters = m.writeWaiters[1:]
 		m.writer = true
-		e.wakeLocked(tok)
+		e.wakeLocked(m.writeWaiters.pop())
 		return
 	}
 	for _, tok := range m.readWaiters {
 		m.readers++
 		e.wakeLocked(tok)
 	}
-	m.readWaiters = nil
+	m.readWaiters.reset()
 }
 
 // WaitGroup lets an actor wait for a set of actors to finish, on virtual time.
 type WaitGroup struct {
 	e       *Engine
 	n       int
-	waiters []*parkToken
+	waiters waitQueue
 }
 
 // NewWaitGroup returns an empty wait group.
@@ -294,7 +284,7 @@ func (w *WaitGroup) Add(delta int) {
 		for _, tok := range w.waiters {
 			e.wakeLocked(tok)
 		}
-		w.waiters = nil
+		w.waiters.reset()
 	}
 	e.mu.Unlock()
 }
@@ -311,8 +301,71 @@ func (w *WaitGroup) Wait() {
 		return
 	}
 	tok := newParkToken()
-	w.waiters = append(w.waiters, tok)
-	e.blockLocked(tok, "waitgroup")
+	w.waiters.push(tok)
+	e.blockLocked(tok, "waitgroup", "")
 	e.mu.Unlock()
 	tok.park()
+}
+
+// Event is a one-shot signal: Wait parks the calling actor until Set has
+// been called, and returns at once from then on. Waiters wake in FIFO
+// order. The first waiter is held inline, so the common single-waiter
+// event never allocates. The zero value is not usable: create one with
+// NewEvent, or embed it and call Init.
+type Event struct {
+	e     *Engine
+	name  string
+	set   bool
+	first *parkToken
+	rest  waitQueue
+}
+
+// NewEvent returns an unset event owned by engine e.
+func (e *Engine) NewEvent(name string) *Event {
+	ev := &Event{}
+	ev.Init(e, name)
+	return ev
+}
+
+// Init prepares an embedded event, unset, on engine e.
+func (ev *Event) Init(e *Engine, name string) {
+	ev.e = e
+	ev.name = name
+}
+
+// Wait parks the calling actor until the event is set.
+func (ev *Event) Wait() {
+	e := ev.e
+	e.mu.Lock()
+	if ev.set {
+		e.mu.Unlock()
+		return
+	}
+	tok := newParkToken()
+	if ev.first == nil {
+		ev.first = tok
+	} else {
+		ev.rest.push(tok)
+	}
+	e.blockLocked(tok, "event:", ev.name)
+	e.mu.Unlock()
+	tok.park()
+}
+
+// Set sets the event and wakes every waiter. Setting it again is a no-op.
+func (ev *Event) Set() {
+	e := ev.e
+	e.mu.Lock()
+	if !ev.set {
+		ev.set = true
+		if ev.first != nil {
+			e.wakeLocked(ev.first)
+			ev.first = nil
+			for _, tok := range ev.rest {
+				e.wakeLocked(tok)
+			}
+			ev.rest.reset()
+		}
+	}
+	e.mu.Unlock()
 }

@@ -480,11 +480,13 @@ func (d *Device) GetAt(ns Namespace, key uint64, ts uint64) ([]byte, error) {
 
 // Put atomically inserts or updates a single key-value pair.
 func (d *Device) Put(ns Namespace, key uint64, value []byte) error {
-	recs := []kamlssd.PutRecord{{Namespace: ns, Key: key, Value: value}}
 	t := d.tap
 	if t == nil {
-		return d.dev.Put(recs)
+		// The device copies the record out, so it can live on the stack.
+		one := [1]kamlssd.PutRecord{{Namespace: ns, Key: key, Value: value}}
+		return d.dev.Put(one[:])
 	}
+	recs := []kamlssd.PutRecord{{Namespace: ns, Key: key, Value: value}}
 	id := t.OpInvoked(OpPut, 0, recs)
 	err := d.dev.Put(recs)
 	t.OpCompleted(id, ns, nil, err)
