@@ -31,13 +31,21 @@ func TestScenarioWritesProfiles(t *testing.T) {
 	}
 }
 
-// TestAllocsPerOpNotAvailable runs an experiment that counts no operations
-// and checks that its allocation figure is reported as unavailable (n/a on
-// stdout, null in the JSON report) rather than as 0.
-func TestClusterReportsAllocsPerOp(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "kamlcluster.json")
+// TestClusterReportsAllocsPerOp checks that kamlcluster counts the
+// operations it issues, so its allocs/op is a real number.
+func TestClusterReportsAllocsPerOp(t *testing.T) { checkReportsAllocsPerOp(t, "kamlcluster") }
+
+// TestFig6ReportsAllocsPerOp checks that fig6 counts the operations its
+// latency cells time, so its allocs/op is a real number.
+func TestFig6ReportsAllocsPerOp(t *testing.T) { checkReportsAllocsPerOp(t, "fig6") }
+
+// checkReportsAllocsPerOp runs experiment id at a small scale and fails
+// unless its JSON report carries a positive allocs/op.
+func checkReportsAllocsPerOp(t *testing.T, id string) {
+	t.Helper()
+	out := filepath.Join(t.TempDir(), id+".json")
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-run", "kamlcluster", "-scale", "0.05", "-json", out}, &stdout, &stderr)
+	code := run([]string{"-run", id, "-scale", "0.05", "-json", out}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit code %d, want 0\nstderr: %s", code, stderr.String())
 	}
@@ -61,6 +69,9 @@ func TestClusterReportsAllocsPerOp(t *testing.T) {
 	}
 }
 
+// TestAllocsPerOpNotAvailable runs an experiment that counts no operations
+// and checks that its allocation figure is reported as unavailable (n/a on
+// stdout, null in the JSON report) rather than as 0.
 func TestAllocsPerOpNotAvailable(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "conflicts.json")
 	var stdout, stderr bytes.Buffer

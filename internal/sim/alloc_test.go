@@ -104,10 +104,14 @@ func TestPrimitivesDoNotAllocate(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := NewEngine()
-			step, partner := tc.run(e)
-			if got := measureInActor(e, step, partner); got != 0 {
-				t.Errorf("%s: %v allocs per call in steady state, want 0", tc.name, got)
+			for _, mode := range engineModes {
+				t.Run(mode.name, func(t *testing.T) {
+					e := mode.newEngine()
+					step, partner := tc.run(e)
+					if got := measureInActor(e, step, partner); got != 0 {
+						t.Errorf("%v allocs per call in steady state, want 0", got)
+					}
+				})
 			}
 		})
 	}

@@ -2,8 +2,9 @@
 //
 // Everything in this repository that has a notion of time — flash chips,
 // NVMe transport, firmware CPUs, host "threads" running transactions —
-// executes on the virtual clock owned by an Engine. An actor is an ordinary
-// goroutine registered with the engine; whenever every actor is blocked in a
+// executes on the virtual clock owned by an Engine. An actor is a function
+// registered with the engine: a goroutine of its own, or, on a serialized
+// engine, a coroutine (see Serialize). Whenever every actor is blocked in a
 // sim primitive (Sleep, Mutex, Cond, Semaphore, ...) the engine advances the
 // clock to the earliest pending timer and wakes the actors due at that
 // instant. Because no actor ever blocks on real I/O or real time, the whole
@@ -36,9 +37,9 @@ type Engine struct {
 	timers   timerHeap
 	seq      uint64 // tiebreak for timers at equal deadlines (determinism)
 
-	// waiters parked on mutexes/conds/semaphores; tracked only so that a
-	// true deadlock produces a diagnostic instead of a silent hang.
-	parked map[*parkToken]parkReason
+	// actors parked on timers and primitives; tracked only so that a true
+	// deadlock produces a diagnostic instead of a silent hang.
+	parked parkedList
 
 	// Serialized scheduling (see Serialize): at most one actor executes at
 	// a time and every wakeup is deferred into ready, from which the next
@@ -48,6 +49,14 @@ type Engine struct {
 	ready    []*parkToken // woken (or freshly spawned) actors awaiting dispatch
 	spawned  bool         // any actor ever started (guards late Serialize)
 
+	// Coroutine transport (serialized mode only): every actor is a
+	// coroutine that the hub goroutine resumes when dispatchLocked draws
+	// it. See hub.
+	current *parkToken   // the executing actor's token; written by the hub
+	drawn   *parkToken   // dispatched, not yet resumed by the hub
+	spare   []*parkToken // finished actors' coroutines, reused by Go
+	hubUp   bool         // a hub goroutine exists
+
 	idle          chan struct{} // closed & replaced each time actors reaches zero
 	watchdogArmed bool          // a stall watchdog timer is pending
 	onDeadlock    func(string)  // test hook; replaces the deadlock panic
@@ -55,10 +64,7 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero and no actors.
 func NewEngine() *Engine {
-	return &Engine{
-		parked: make(map[*parkToken]parkReason),
-		idle:   make(chan struct{}),
-	}
+	return &Engine{idle: make(chan struct{})}
 }
 
 // Now returns the current virtual time.
@@ -85,6 +91,10 @@ func (e *Engine) NowCheap() time.Duration {
 // model checker replay a failing schedule from nothing but its seed — and
 // lets different seeds explore different interleavings of the same instant.
 //
+// Because only one actor runs at a time, a serialized engine runs its
+// actors as coroutines on one hub goroutine: a park hands control straight
+// to the next drawn actor without a channel or the Go scheduler.
+//
 // Must be called before any actor is spawned.
 func (e *Engine) Serialize(seed int64) {
 	e.mu.Lock()
@@ -104,28 +114,34 @@ func (e *Engine) Go(name string, fn func()) {
 	e.actors++
 	e.spawned = true
 	if e.serial {
-		tok := newParkToken()
+		var tok *parkToken
+		if n := len(e.spare); n > 0 {
+			tok = e.spare[n-1]
+			e.spare[n-1] = nil
+			e.spare = e.spare[:n-1]
+		} else {
+			tok = &parkToken{}
+		}
+		tok.body = fn
 		e.ready = append(e.ready, tok)
 		if e.runnable == 0 {
 			e.dispatchLocked()
 		}
 		e.mu.Unlock()
-		go func() {
-			tok.park()
-			defer e.exit(name)
-			fn()
-		}()
 		return
 	}
 	e.runnable++
 	e.mu.Unlock()
-	go func() {
-		defer e.exit(name)
-		fn()
-	}()
+	go e.run(fn)
 }
 
-func (e *Engine) exit(name string) {
+// run is the whole life of an actor whose body is fn.
+func (e *Engine) run(fn func()) {
+	defer e.exit()
+	fn()
+}
+
+func (e *Engine) exit() {
 	if r := recover(); r != nil {
 		// Re-panic immediately WITHOUT touching e.mu: the panic may have
 		// been raised inside a primitive that still holds it (deadlock
@@ -165,13 +181,11 @@ func (e *Engine) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	tok := newParkToken()
+	tok := e.token()
 	e.mu.Lock()
 	e.seq++
 	e.timers.push(timer{when: e.now + d, seq: e.seq, tok: tok})
-	e.blockLocked(tok, "sleep", "")
-	e.mu.Unlock()
-	tok.park()
+	e.parkLocked(tok, "sleep", "")
 }
 
 // parkReason says what a parked actor waits on, for the deadlock dump. It
@@ -184,22 +198,39 @@ type parkReason struct {
 
 func (r parkReason) String() string { return r.kind + r.name }
 
-// blockLocked marks the calling actor as parked and, if it was the last
-// runnable actor, lets the engine pick what runs next. kind and name
-// describe the wait (see parkReason). Caller holds e.mu.
-func (e *Engine) blockLocked(tok *parkToken, kind, name string) {
-	e.parked[tok] = parkReason{kind: kind, name: name}
+// parkLocked parks the calling actor on tok, which the caller has already
+// filed where its waker will find it, and returns once the actor has been
+// woken and (in serialized mode) drawn again. kind and name describe the
+// wait (see parkReason). If the actor was the last runnable one, the
+// engine picks what runs next first. Caller holds e.mu, which parkLocked
+// releases.
+func (e *Engine) parkLocked(tok *parkToken, kind, name string) {
+	e.parked.add(tok, parkReason{kind: kind, name: name})
 	e.runnable--
 	if e.runnable == 0 {
 		e.unblockLocked()
 	}
+	if !e.serial {
+		e.mu.Unlock()
+		<-tok.ch
+		parkTokenPool.Put(tok) // the one wakeup per park has arrived
+		return
+	}
+	if e.drawn == tok {
+		// The actor drew itself (a lone sleeper): it keeps running.
+		e.drawn = nil
+		e.mu.Unlock()
+		return
+	}
+	e.mu.Unlock()
+	tok.yield(struct{}{}) // back to the hub until drawn again
 }
 
 // wakeLocked transfers a parked actor back to runnable. In serialized mode
 // the actor is only queued; it starts running when dispatchLocked draws it.
 // Caller holds e.mu.
 func (e *Engine) wakeLocked(tok *parkToken) {
-	delete(e.parked, tok)
+	e.parked.remove(tok)
 	if e.serial {
 		e.ready = append(e.ready, tok)
 		return
@@ -226,7 +257,8 @@ func (e *Engine) unblockLocked() {
 }
 
 // dispatchLocked releases one actor drawn at seeded-random from the ready
-// queue. Caller holds e.mu; serialized mode only.
+// queue: the hub resumes it once the running actor yields, or a new hub
+// does if none is running. Caller holds e.mu; serialized mode only.
 func (e *Engine) dispatchLocked() {
 	i := e.schedRng.Intn(len(e.ready))
 	tok := e.ready[i]
@@ -234,7 +266,60 @@ func (e *Engine) dispatchLocked() {
 	e.ready[len(e.ready)-1] = nil
 	e.ready = e.ready[:len(e.ready)-1]
 	e.runnable++
-	tok.ch <- struct{}{}
+	e.drawn = tok
+	if !e.hubUp {
+		e.hubUp = true
+		go e.hub()
+	}
+}
+
+// hub is the one goroutine that runs a serialized engine's actors. Each
+// actor is a coroutine: the hub resumes the actor dispatchLocked drew, and
+// the actor runs until it parks or exits, which switches straight back to
+// the hub. A handoff is thus two coroutine switches, with no channel, no
+// run queue and no wakeup of another thread. The hub exits once nothing
+// is drawn: when the last actor has exited, stopping the spare coroutines
+// on its way out, or when the engine stalls, until an external Go draws an
+// actor and starts a new hub.
+//
+// An actor that calls runtime.Goexit (t.FailNow does) takes the hub down
+// with it, because the coroutine's caller inherits the Goexit. The actor's
+// own exit bookkeeping has run by then, so the hub's last act is to start
+// a replacement that carries on from the same state (and, if that actor
+// was the last, stops the spares and exits).
+func (e *Engine) hub() {
+	finished := false
+	defer func() {
+		if finished {
+			return
+		}
+		if r := recover(); r != nil {
+			panic(r) // an actor panicked; as in exit, e.mu may be held
+		}
+		go e.hub() // hubUp stays set: the replacement takes over
+	}()
+	e.mu.Lock()
+	for e.drawn != nil {
+		tok := e.drawn
+		e.drawn = nil
+		e.current = tok
+		e.mu.Unlock()
+		if tok.resume == nil {
+			e.startCoroutine(tok)
+		}
+		tok.resume()
+		e.mu.Lock()
+	}
+	e.hubUp = false
+	var spare []*parkToken
+	if e.actors == 0 {
+		spare, e.spare = e.spare, nil
+	}
+	e.mu.Unlock()
+	for _, tok := range spare {
+		tok.stop()
+	}
+	finished = true
 }
 
 // advanceLocked pops every timer due at the earliest deadline and wakes its
@@ -250,7 +335,7 @@ func (e *Engine) dispatchLocked() {
 // a deadlock with a state dump.
 func (e *Engine) advanceLocked() {
 	if len(e.timers) == 0 {
-		if len(e.parked) == 0 {
+		if e.parked.n == 0 {
 			return // all actors exited or exiting
 		}
 		e.armWatchdogLocked()
@@ -280,7 +365,7 @@ func (e *Engine) armWatchdogLocked() {
 	time.AfterFunc(stallTimeout, func() {
 		e.mu.Lock()
 		e.watchdogArmed = false
-		stalled := e.runnable == 0 && len(e.timers) == 0 && len(e.ready) == 0 && len(e.parked) > 0
+		stalled := e.runnable == 0 && len(e.timers) == 0 && len(e.ready) == 0 && e.parked.n > 0
 		if !stalled {
 			e.mu.Unlock()
 			return
@@ -301,10 +386,10 @@ func (e *Engine) armWatchdogLocked() {
 func (e *Engine) stateLocked() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "  now=%v actors=%d runnable=%d parked=%d timers=%d\n",
-		e.now, e.actors, e.runnable, len(e.parked), len(e.timers))
+		e.now, e.actors, e.runnable, e.parked.n, len(e.timers))
 	reasons := make(map[string]int)
-	for _, why := range e.parked {
-		reasons[why.String()]++
+	for tok := e.parked.head; tok != nil; tok = tok.nextParked {
+		reasons[tok.why.String()]++
 	}
 	keys := make([]string, 0, len(reasons))
 	for k := range reasons {
@@ -317,29 +402,75 @@ func (e *Engine) stateLocked() string {
 	return b.String()
 }
 
-// parkToken is the rendezvous for one parked actor. Tokens are pooled: a
-// wakeup is a buffered send (not a close), so a token and its channel are
-// reusable the moment the parked actor has received the wakeup and called
-// park. Every park would otherwise allocate a fresh channel — on the hot
-// path (each virtual sleep, each contended primitive) that is the single
-// largest allocation source in the whole simulator.
+// parkToken stands for one parked actor in timers, wait queues and the
+// parked list. Its transport depends on the engine's mode.
+//
+// On a serialized engine each actor owns one token for its whole life (an
+// actor parks on one thing at a time), and the token carries the actor's
+// coroutine: resume runs it until it yields, yield hands control back. The
+// hub makes the coroutine when it first draws the actor; once the actor's
+// body has returned, the coroutine and its token serve the next Go.
+//
+// Otherwise tokens are pooled and woken by a buffered send (not a close),
+// so a token and its channel are reusable the moment the parked actor has
+// received its wakeup. Every park would otherwise allocate a fresh channel
+// — on the hot path (each virtual sleep, each contended primitive) that is
+// the single largest allocation source in the whole simulator. Each token
+// receives exactly one wakeup per park: every wake path (timer pop, mutex
+// handoff, cond signal) removes the token from its wait structure first.
 type parkToken struct {
-	ch chan struct{}
+	ch chan struct{} // concurrent mode
+
+	body   func()                  // serialized mode: the actor's fn
+	resume func() (struct{}, bool) // serialized mode
+	yield  func(struct{}) bool     // serialized mode
+	stop   func()                  // serialized mode
+
+	why                    parkReason // set while parked
+	prevParked, nextParked *parkToken // links in Engine.parked
 }
 
 var parkTokenPool = sync.Pool{
 	New: func() any { return &parkToken{ch: make(chan struct{}, 1)} },
 }
 
-func newParkToken() *parkToken { return parkTokenPool.Get().(*parkToken) }
+// token returns the token the calling actor parks on: its own on a
+// serialized engine, a pooled one otherwise.
+func (e *Engine) token() *parkToken {
+	if e.serial {
+		return e.current
+	}
+	return parkTokenPool.Get().(*parkToken)
+}
 
-// park blocks until the token's wakeup arrives, then recycles the token.
-// Callers must not touch tok afterwards. Each token receives exactly one
-// wakeup per park: every wake path (timer pop, mutex handoff, cond signal,
-// dispatch) removes the token from its wait structure before sending.
-func (tok *parkToken) park() {
-	<-tok.ch
-	parkTokenPool.Put(tok)
+// parkedList is the set of parked actors, an intrusive doubly linked list
+// threaded through their tokens, so parking and waking touch no map.
+type parkedList struct {
+	head *parkToken
+	n    int
+}
+
+func (l *parkedList) add(tok *parkToken, why parkReason) {
+	tok.why = why
+	tok.prevParked, tok.nextParked = nil, l.head
+	if l.head != nil {
+		l.head.prevParked = tok
+	}
+	l.head = tok
+	l.n++
+}
+
+func (l *parkedList) remove(tok *parkToken) {
+	if tok.prevParked != nil {
+		tok.prevParked.nextParked = tok.nextParked
+	} else {
+		l.head = tok.nextParked
+	}
+	if tok.nextParked != nil {
+		tok.nextParked.prevParked = tok.prevParked
+	}
+	tok.prevParked, tok.nextParked = nil, nil
+	l.n--
 }
 
 // timer is one pending Sleep wakeup. Timers are stored by value in a

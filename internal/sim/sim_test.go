@@ -268,26 +268,30 @@ func TestDeadlockWatchdogReports(t *testing.T) {
 	stallTimeout = 50 * time.Millisecond
 	defer func() { stallTimeout = old }()
 
-	e := NewEngine()
-	reported := make(chan string, 1)
-	e.onDeadlock = func(msg string) { reported <- msg }
+	for _, mode := range engineModes {
+		t.Run(mode.name, func(t *testing.T) {
+			e := mode.newEngine()
+			reported := make(chan string, 1)
+			e.onDeadlock = func(msg string) { reported <- msg }
 
-	m := e.NewMutex("m")
-	e.Go("holder", func() {
-		m.Lock() // never unlocked
-		e.Go("waiter", func() {
-			m.Lock() // deadlocks
+			m := e.NewMutex("m")
+			e.Go("holder", func() {
+				m.Lock() // never unlocked
+				e.Go("waiter", func() {
+					m.Lock() // deadlocks
+				})
+				e.Sleep(time.Millisecond)
+				// exits while still holding m
+			})
+			select {
+			case msg := <-reported:
+				if !strings.Contains(msg, "deadlock") || !strings.Contains(msg, "mutex:m") {
+					t.Fatalf("unhelpful report: %s", msg)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("watchdog never fired")
+			}
 		})
-		e.Sleep(time.Millisecond)
-		// exits while still holding m
-	})
-	select {
-	case msg := <-reported:
-		if !strings.Contains(msg, "deadlock") || !strings.Contains(msg, "mutex:m") {
-			t.Fatalf("unhelpful report: %s", msg)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("watchdog never fired")
 	}
 }
 
@@ -296,28 +300,34 @@ func TestStallDuringExternalSpawnIsTolerated(t *testing.T) {
 	stallTimeout = 50 * time.Millisecond
 	defer func() { stallTimeout = old }()
 
-	e := NewEngine()
-	e.onDeadlock = func(msg string) { t.Errorf("false deadlock: %s", msg) }
-	m := e.NewMutex("m")
-	// An actor parks on a cond-like wait with no timers anywhere...
-	c := e.NewCond(m)
-	e.Go("waiter", func() {
-		m.Lock()
-		c.Wait()
-		m.Unlock()
-	})
-	// ...while this non-actor goroutine is "still constructing" and only
-	// spawns the waker after the stall window would have fired a naive
-	// immediate panic.
-	time.Sleep(10 * time.Millisecond)
-	e.Go("waker", func() {
-		m.Lock()
-		c.Signal()
-		m.Unlock()
-	})
-	e.Wait()
-	// Give a late watchdog a chance to misfire before declaring success.
-	time.Sleep(100 * time.Millisecond)
+	for _, mode := range engineModes {
+		t.Run(mode.name, func(t *testing.T) {
+			e := mode.newEngine()
+			e.onDeadlock = func(msg string) { t.Errorf("false deadlock: %s", msg) }
+			m := e.NewMutex("m")
+			// An actor parks on a cond-like wait with no timers anywhere
+			// (a serialized engine's hub exits until the waker arrives)...
+			c := e.NewCond(m)
+			e.Go("waiter", func() {
+				m.Lock()
+				c.Wait()
+				m.Unlock()
+			})
+			// ...while this non-actor goroutine is "still constructing"
+			// and only spawns the waker after the stall window would have
+			// fired a naive immediate panic.
+			time.Sleep(10 * time.Millisecond)
+			e.Go("waker", func() {
+				m.Lock()
+				c.Signal()
+				m.Unlock()
+			})
+			waitOrFail(t, e, 5*time.Second)
+			// Give a late watchdog a chance to misfire before declaring
+			// success.
+			time.Sleep(100 * time.Millisecond)
+		})
+	}
 }
 
 func TestTimersAreDeterministic(t *testing.T) {

@@ -26,11 +26,9 @@ func (m *Mutex) Lock() {
 		e.mu.Unlock()
 		return
 	}
-	tok := newParkToken()
+	tok := e.token()
 	m.waiters.push(tok)
-	e.blockLocked(tok, "mutex:", m.name)
-	e.mu.Unlock()
-	tok.park()
+	e.parkLocked(tok, "mutex:", m.name)
 }
 
 // TryLock acquires the mutex if it is free and reports whether it did.
@@ -82,7 +80,7 @@ func (e *Engine) NewCond(l *Mutex) *Cond { return &Cond{L: l} }
 // then reacquires c.L before returning.
 func (c *Cond) Wait() {
 	e := c.L.e
-	tok := newParkToken()
+	tok := e.token()
 	e.mu.Lock()
 	c.waiters.push(tok)
 	// Release the mutex inline (same logic as Unlock, under e.mu already).
@@ -91,9 +89,7 @@ func (c *Cond) Wait() {
 	} else {
 		c.L.locked = false
 	}
-	e.blockLocked(tok, "cond:", c.L.name)
-	e.mu.Unlock()
-	tok.park()
+	e.parkLocked(tok, "cond:", c.L.name)
 	c.L.Lock()
 }
 
@@ -144,11 +140,9 @@ func (s *Semaphore) Acquire() {
 		e.mu.Unlock()
 		return
 	}
-	tok := newParkToken()
+	tok := e.token()
 	s.waiters.push(tok)
-	e.blockLocked(tok, "sem:", s.name)
-	e.mu.Unlock()
-	tok.park()
+	e.parkLocked(tok, "sem:", s.name)
 }
 
 // Release returns one permit, handing it directly to the oldest waiter.
@@ -194,11 +188,9 @@ func (m *RWMutex) RLock() {
 		e.mu.Unlock()
 		return
 	}
-	tok := newParkToken()
+	tok := e.token()
 	m.readWaiters.push(tok)
-	e.blockLocked(tok, "rwmutex-r:", m.name)
-	e.mu.Unlock()
-	tok.park()
+	e.parkLocked(tok, "rwmutex-r:", m.name)
 }
 
 // RUnlock releases a shared lock.
@@ -225,11 +217,9 @@ func (m *RWMutex) Lock() {
 		e.mu.Unlock()
 		return
 	}
-	tok := newParkToken()
+	tok := e.token()
 	m.writeWaiters.push(tok)
-	e.blockLocked(tok, "rwmutex-w:", m.name)
-	e.mu.Unlock()
-	tok.park()
+	e.parkLocked(tok, "rwmutex-w:", m.name)
 }
 
 // Unlock releases the exclusive lock.
@@ -300,11 +290,9 @@ func (w *WaitGroup) Wait() {
 		e.mu.Unlock()
 		return
 	}
-	tok := newParkToken()
+	tok := e.token()
 	w.waiters.push(tok)
-	e.blockLocked(tok, "waitgroup", "")
-	e.mu.Unlock()
-	tok.park()
+	e.parkLocked(tok, "waitgroup", "")
 }
 
 // Event is a one-shot signal: Wait parks the calling actor until Set has
@@ -341,15 +329,13 @@ func (ev *Event) Wait() {
 		e.mu.Unlock()
 		return
 	}
-	tok := newParkToken()
+	tok := e.token()
 	if ev.first == nil {
 		ev.first = tok
 	} else {
 		ev.rest.push(tok)
 	}
-	e.blockLocked(tok, "event:", ev.name)
-	e.mu.Unlock()
-	tok.park()
+	e.parkLocked(tok, "event:", ev.name)
 }
 
 // Set sets the event and wakes every waiter. Setting it again is a no-op.
