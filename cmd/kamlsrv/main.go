@@ -118,10 +118,8 @@ func main() {
 		st.Gets, st.Puts, st.PutRecords, st.Programs, st.GCErases, st.NVRAMHits, st.ProgramRetries, st.BlocksRetired)
 	log.Printf("pipeline stats: submitted=%d completed=%d coalesced_puts=%d coalescer_batches=%d coalescer_records=%d max_queue=%d mean_queue=%.2f",
 		st.PipelineSubmitted, st.PipelineCompleted, st.CoalescedPuts, st.CoalescerBatches, st.CoalescerRecords, st.PipelineMaxQueue, st.PipelineMeanQueue)
-	if reg := dev.Telemetry(); reg != nil {
-		if b, err := json.Marshal(reg.Snapshot()); err == nil {
-			log.Printf("final telemetry snapshot: %s", b)
-		}
+	if b, err := json.Marshal(dev.Telemetry().Snapshot()); err == nil {
+		log.Printf("final telemetry snapshot: %s", b)
 	}
 }
 

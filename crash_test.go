@@ -10,6 +10,7 @@ import (
 	"time"
 
 	kaml "github.com/kaml-ssd/kaml"
+	"github.com/kaml-ssd/kaml/internal/telemetry/telemetrytest"
 )
 
 // The crash-consistency torture test: sweep 50 seeded fault plans, each
@@ -259,4 +260,61 @@ workload:
 	}
 	re2.Close()
 	return nil
+}
+
+// TestRecoveryCountersOnMetrics: a torn-page power cut, then Reopen. The
+// recovery scan counts into the recovered device's registry, so the
+// scraped series equal the recovered device's Stats and the torn page
+// shows up in both.
+func TestRecoveryCountersOnMetrics(t *testing.T) {
+	opts := kaml.SmallOptions()
+	opts.Faults = &kaml.FaultPlan{Seed: 1, CutAfterPrograms: 30, TornPageOnCut: true}
+	dev, err := kaml.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.Go(func() {
+		ns, err := dev.CreateNamespace(kaml.NamespaceOptions{ExpectedKeys: 1000})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for k := uint64(0); ; k++ {
+			err := dev.Put(ns, k%500, bytes.Repeat([]byte{byte(k)}, 2000))
+			if errors.Is(err, kaml.ErrPowerLoss) {
+				break
+			}
+			if err != nil {
+				t.Errorf("put %d: %v", k, err)
+				return
+			}
+		}
+		re, err := kaml.Reopen(dev.Crash())
+		if err != nil {
+			t.Errorf("reopen: %v", err)
+			return
+		}
+		defer re.Close()
+		st := re.Stats()
+		scraped := telemetrytest.Scrape(re.Telemetry())
+		for _, v := range []struct {
+			field  string
+			got    int64
+			series string
+		}{
+			{"RecoveredRecords", st.RecoveredRecords, "kaml_ssd_recovered_records_total"},
+			{"ReplayedValues", st.ReplayedValues, "kaml_ssd_replayed_values_total"},
+			{"DroppedUncommitted", st.DroppedUncommitted, "kaml_ssd_dropped_uncommitted_total"},
+			{"TornPagesSkipped", st.TornPagesSkipped, "kaml_ssd_torn_pages_skipped_total"},
+			{"ReadRetries", st.ReadRetries, "kaml_ssd_read_retries_total"},
+		} {
+			if s, ok := scraped[v.series]; !ok || s != v.got {
+				t.Errorf("%s = %d, scraped %s = %d (present %v)", v.field, v.got, v.series, s, ok)
+			}
+		}
+		if st.TornPagesSkipped == 0 {
+			t.Error("TornPagesSkipped = 0 after a torn-page power cut")
+		}
+	})
+	dev.Wait()
 }

@@ -14,6 +14,7 @@ import (
 
 	kaml "github.com/kaml-ssd/kaml"
 	"github.com/kaml-ssd/kaml/internal/cluster"
+	"github.com/kaml-ssd/kaml/internal/telemetry"
 )
 
 // Handler returns the admin mux for one device. Routes:
@@ -22,29 +23,21 @@ import (
 //	/statusz       JSON: device Stats plus a telemetry registry snapshot
 //	/debug/pprof/  standard Go profiling endpoints
 //
-// A device opened with telemetry disabled still serves /statusz (stats
-// only) and pprof; /metrics answers 404 with an explanatory body.
+// Stats is a view over the same registry, so /statusz stats and /metrics
+// agree series for series.
 func Handler(dev *kaml.Device) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		reg := dev.Telemetry()
-		if reg == nil {
-			http.Error(w, "telemetry disabled on this device", http.StatusNotFound)
-			return
-		}
 		var b strings.Builder
-		reg.WritePrometheus(&b)
+		dev.Telemetry().WritePrometheus(&b)
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_, _ = w.Write([]byte(b.String()))
 	})
 	mux.HandleFunc("/statusz", func(w http.ResponseWriter, req *http.Request) {
 		status := struct {
-			Stats     kaml.Stats  `json:"stats"`
-			Telemetry interface{} `json:"telemetry,omitempty"`
-		}{Stats: dev.Stats()}
-		if reg := dev.Telemetry(); reg != nil {
-			status.Telemetry = reg.Snapshot()
-		}
+			Stats     kaml.Stats          `json:"stats"`
+			Telemetry *telemetry.Snapshot `json:"telemetry"`
+		}{Stats: dev.Stats(), Telemetry: dev.Telemetry().Snapshot()}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")

@@ -61,15 +61,17 @@ type Cache struct {
 	// true outside the model checker's lost-update self-test. Guarded by mu.
 	siValidate bool
 
-	stats Stats
-
-	// Telemetry instruments (nil when the device runs without telemetry).
+	// Telemetry instruments in the device's registry: the cache's only
+	// counters (Stats reads them back).
+	hits, misses, evictions         *telemetry.Counter
+	commits, aborts, dies           *telemetry.Counter
 	siCommits, siAborts, siValFails *telemetry.Counter
 }
 
 // Stats counts cache activity. Commits/Aborts cover both isolation levels;
 // the SI* fields break out the snapshot-isolation share, with
-// SIValidationFails counting first-committer-wins kills specifically.
+// SIValidationFails counting first-committer-wins kills specifically. It
+// is a view over the cache's telemetry series (kaml_cache_*, kaml_si_*).
 type Stats struct {
 	Hits, Misses          int64
 	Evictions             int64
@@ -114,48 +116,46 @@ func New(dev *kamlssd.Device, cfg Config) *Cache {
 	}
 	c.mu = eng.NewMutex("cache")
 	c.tsMu = eng.NewMutex("cache-ts")
-	if reg := dev.Telemetry(); reg != nil {
-		c.lm.Instrument(reg)
-		reg.Help("kaml_si_commits_total", "Snapshot-isolation transactions committed.")
-		reg.Help("kaml_si_aborts_total", "Snapshot-isolation transactions aborted (all causes).")
-		reg.Help("kaml_si_validation_failures_total", "SI writes killed by first-committer-wins validation.")
-		c.siCommits = reg.Counter("kaml_si_commits_total")
-		c.siAborts = reg.Counter("kaml_si_aborts_total")
-		c.siValFails = reg.Counter("kaml_si_validation_failures_total")
-	}
+	reg := dev.Telemetry()
+	c.lm.Instrument(reg)
+	reg.Help("kaml_si_commits_total", "Snapshot-isolation transactions committed.")
+	reg.Help("kaml_si_aborts_total", "Snapshot-isolation transactions aborted (all causes: wait-die, validation kill, explicit Abort).")
+	reg.Help("kaml_si_validation_failures_total", "SI writes killed by first-committer-wins validation.")
+	reg.Help("kaml_cache_hits_total", "Record-cache lookups served from host DRAM.")
+	reg.Help("kaml_cache_misses_total", "Record-cache lookups that went to the device.")
+	reg.Help("kaml_cache_evictions_total", "LRU evictions from the record cache.")
+	reg.Help("kaml_cache_commits_total", "Transactions committed, both isolation levels.")
+	reg.Help("kaml_cache_aborts_total", "Transactions aborted, both isolation levels (all causes).")
+	reg.Help("kaml_cache_dies_total", "Transactions killed by concurrency control (wait-die, SI validation) and backed off.")
+	c.siCommits = reg.Counter("kaml_si_commits_total")
+	c.siAborts = reg.Counter("kaml_si_aborts_total")
+	c.siValFails = reg.Counter("kaml_si_validation_failures_total")
+	c.hits = reg.Counter("kaml_cache_hits_total")
+	c.misses = reg.Counter("kaml_cache_misses_total")
+	c.evictions = reg.Counter("kaml_cache_evictions_total")
+	c.commits = reg.Counter("kaml_cache_commits_total")
+	c.aborts = reg.Counter("kaml_cache_aborts_total")
+	c.dies = reg.Counter("kaml_cache_dies_total")
 	return c
-}
-
-// noteSICommit/noteSIAbort/noteSIValidationFail export SI outcomes to
-// telemetry (no-ops without a registry). noteSIAbort covers every SI abort
-// — wait-die, validation kill, and explicit Abort alike; validation
-// failures additionally count in noteSIValidationFail.
-func (c *Cache) noteSICommit() {
-	if c.siCommits != nil {
-		c.siCommits.Inc()
-	}
-}
-
-func (c *Cache) noteSIAbort() {
-	if c.siAborts != nil {
-		c.siAborts.Inc()
-	}
-}
-
-func (c *Cache) noteSIValidationFail() {
-	if c.siValFails != nil {
-		c.siValFails.Inc()
-	}
 }
 
 // Device returns the underlying KAML SSD.
 func (c *Cache) Device() *kamlssd.Device { return c.dev }
 
-// Stats returns a snapshot of the cache counters.
+// Stats returns a snapshot of the cache counters, read lock-free from the
+// device's telemetry registry (caches built over one device share it).
 func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+	return Stats{
+		Hits:              c.hits.Value(),
+		Misses:            c.misses.Value(),
+		Evictions:         c.evictions.Value(),
+		Commits:           c.commits.Value(),
+		Aborts:            c.aborts.Value(),
+		Dies:              c.dies.Value(),
+		SICommits:         c.siCommits.Value(),
+		SIAborts:          c.siAborts.Value(),
+		SIValidationFails: c.siValFails.Value(),
+	}
 }
 
 // HitRatio returns hits/(hits+misses) so far.
@@ -183,11 +183,11 @@ func (c *Cache) lookup(k ckey) ([]byte, bool) {
 	defer c.mu.Unlock()
 	e, ok := c.entries[k]
 	if !ok {
-		c.stats.Misses++
+		c.misses.Inc()
 		return nil, false
 	}
 	c.lru.MoveToFront(e.elt)
-	c.stats.Hits++
+	c.hits.Inc()
 	return append([]byte(nil), e.val...), true
 }
 
@@ -212,7 +212,7 @@ func (c *Cache) install(k ckey, val []byte) {
 		c.lru.Remove(tail)
 		delete(c.entries, victim.k)
 		c.size -= int64(len(victim.val))
-		c.stats.Evictions++
+		c.evictions.Inc()
 	}
 }
 
@@ -348,9 +348,7 @@ func (t *Txn) Commit() error {
 	}
 	t.state = stateCommitted
 	t.c.lm.ReleaseAll(t.lt)
-	t.c.mu.Lock()
-	t.c.stats.Commits++
-	t.c.mu.Unlock()
+	t.c.commits.Inc()
 	return nil
 }
 
@@ -364,9 +362,7 @@ func (t *Txn) Abort() {
 	t.writes = nil
 	t.order = nil
 	t.c.lm.ReleaseAll(t.lt)
-	t.c.mu.Lock()
-	t.c.stats.Aborts++
-	t.c.mu.Unlock()
+	t.c.aborts.Inc()
 }
 
 // die is the wait-die abort path (counted separately so experiments can
@@ -377,10 +373,8 @@ func (t *Txn) die() {
 	t.writes = nil
 	t.order = nil
 	t.c.lm.ReleaseAll(t.lt)
-	t.c.mu.Lock()
-	t.c.stats.Aborts++
-	t.c.stats.Dies++
-	t.c.mu.Unlock()
+	t.c.aborts.Inc()
+	t.c.dies.Inc()
 	t.c.lm.Backoff()
 }
 

@@ -47,6 +47,7 @@ import (
 	"time"
 
 	"github.com/kaml-ssd/kaml/internal/sim"
+	"github.com/kaml-ssd/kaml/internal/telemetry"
 )
 
 // ErrClosed reports a command submitted after the pipeline shut down.
@@ -202,11 +203,11 @@ type Config struct {
 	// ClosedErr is returned by commands rejected after Close (default
 	// ErrClosed). Fail overrides it with the poison error.
 	ClosedErr error
-	// Metrics, when non-nil, enables telemetry: per-stage lifecycle
-	// histograms, occupancy gauge, backpressure and coalescer counters
-	// (see NewMetrics). Nil disables all instrumentation, including the
-	// per-command timestamp reads.
-	Metrics *Metrics
+	// Registry receives the pipeline's telemetry: per-stage lifecycle
+	// histograms, occupancy, backpressure and coalescer counters (see
+	// newMetrics). Stats is a view over these series. Nil gives the
+	// pipeline a private registry.
+	Registry *telemetry.Registry
 }
 
 func (c Config) withDefaults() Config {
@@ -228,10 +229,14 @@ func (c Config) withDefaults() Config {
 	if c.ClosedErr == nil {
 		c.ClosedErr = ErrClosed
 	}
+	if c.Registry == nil {
+		c.Registry = telemetry.NewRegistry()
+	}
 	return c
 }
 
-// Stats is a snapshot of pipeline activity.
+// Stats is a snapshot of pipeline activity, read from the pipeline's
+// telemetry series.
 type Stats struct {
 	Submitted int64 // commands accepted into the pipeline
 	Completed int64 // commands whose future resolved
@@ -243,13 +248,14 @@ type Stats struct {
 	BatchCommits  int64
 	BatchRecords  int64
 	// MaxOccupancy / MeanOccupancy describe queue depth actually reached
-	// (occupancy is sampled at each submission).
+	// (occupancy is sampled at each submission: kaml_cmdq_submit_occupancy,
+	// whose count is Submitted).
 	MaxOccupancy  int64
 	MeanOccupancy float64
 }
 
 // task pairs a queued command with its future. at is the submission
-// timestamp (virtual clock) when tracing is enabled, zero otherwise.
+// timestamp (virtual clock).
 type task struct {
 	cmd *Command
 	fut *Future
@@ -261,7 +267,7 @@ type Pipeline struct {
 	eng  *sim.Engine
 	cfg  Config
 	exec func(*Command) Result
-	m    *Metrics // nil when telemetry is disabled
+	m    *metrics
 
 	mu         *sim.Mutex
 	notFull    *sim.Cond // occupancy < Depth
@@ -291,15 +297,6 @@ type Pipeline struct {
 	coList []*coalescer
 
 	wg *sim.WaitGroup
-
-	// Stats. Updated under mu (pipeline state transitions already
-	// serialize on it) but stored atomically so Stats() never takes a sim
-	// lock — final-report paths read it from outside the simulation.
-	submitted, completed    atomic.Int64
-	coalescedPuts           atomic.Int64
-	batchCommits, batchRecs atomic.Int64
-	maxOcc                  atomic.Int64
-	occSum, occSamples      atomic.Int64
 }
 
 // New builds a pipeline and starts its worker actors. exec runs firmware
@@ -312,7 +309,7 @@ func New(eng *sim.Engine, cfg Config, exec func(*Command) Result) *Pipeline {
 		eng:   eng,
 		cfg:   cfg,
 		exec:  exec,
-		m:     cfg.Metrics,
+		m:     newMetrics(cfg.Registry),
 		mu:    eng.NewMutex("cmdq"),
 		coMap: make(map[int]*coalescer),
 		wg:    eng.NewWaitGroup(),
@@ -335,7 +332,7 @@ func (p *Pipeline) Submit(cmd *Command) *Future {
 	p.mu.Lock()
 	waited, ok := p.reserveLocked()
 	if waited {
-		p.m.noteBackpressure()
+		p.m.backpressure.Inc()
 	}
 	if !ok {
 		err := p.shutdownErrLocked()
@@ -343,10 +340,7 @@ func (p *Pipeline) Submit(cmd *Command) *Future {
 		return Resolved(p.eng, Result{Err: err})
 	}
 	fut := newFuture(p.eng)
-	t := task{cmd: cmd, fut: fut}
-	if p.m != nil {
-		t.at = p.eng.NowCheap()
-	}
+	t := task{cmd: cmd, fut: fut, at: p.eng.NowCheap()}
 	if (cmd.Op == OpPut || cmd.Op == OpPutBatch) && p.cfg.CoalesceWindow > 0 {
 		p.coalescerLocked(p.shardOf(cmd)).addLocked(t)
 	} else {
@@ -377,7 +371,7 @@ func (p *Pipeline) RunDirect(cmd *Command) Result {
 		p.mu.Lock()
 		waited, ok := p.reserveLocked()
 		if waited {
-			p.m.noteBackpressure()
+			p.m.backpressure.Inc()
 		}
 		if !ok {
 			err := p.shutdownErrLocked()
@@ -386,17 +380,12 @@ func (p *Pipeline) RunDirect(cmd *Command) Result {
 		}
 		p.mu.Unlock()
 	}
-	var res Result
-	if p.m != nil {
-		at := p.eng.NowCheap()
-		res = p.exec(cmd)
-		now := p.eng.NowCheap()
-		p.m.observeStage(cmd.Op, stageQueue, 0)
-		p.m.observeStage(cmd.Op, stageExec, now-at)
-		p.m.observeStage(cmd.Op, stageTotal, now-at)
-	} else {
-		res = p.exec(cmd)
-	}
+	at := p.eng.NowCheap()
+	res := p.exec(cmd)
+	now := p.eng.NowCheap()
+	p.m.observeStage(cmd.Op, stageQueue, 0)
+	p.m.observeStage(cmd.Op, stageExec, now-at)
+	p.m.observeStage(cmd.Op, stageTotal, now-at)
 	p.release(1)
 	return res
 }
@@ -466,16 +455,8 @@ func (p *Pipeline) reserveFast() bool {
 			continue
 		}
 		c++
-		p.submitted.Add(1)
-		for {
-			m := p.maxOcc.Load()
-			if c <= m || p.maxOcc.CompareAndSwap(m, c) {
-				break
-			}
-		}
-		p.occSum.Add(c)
-		p.occSamples.Add(1)
-		p.m.setDepth(int(c))
+		p.m.submitOcc.Observe(c)
+		p.m.depth.Set(c)
 		return true
 	}
 }
@@ -507,11 +488,9 @@ func (p *Pipeline) reserveLocked() (waited, ok bool) {
 // is one atomic publish (plus a wakeup for waiters that actually parked).
 // Called with p.mu NOT held.
 func (p *Pipeline) completeAll(tasks []task, results []Result) {
-	if p.m != nil {
-		now := p.eng.NowCheap()
-		for _, t := range tasks {
-			p.m.observeStage(t.cmd.Op, stageTotal, now-t.at)
-		}
+	now := p.eng.NowCheap()
+	for _, t := range tasks {
+		p.m.observeStage(t.cmd.Op, stageTotal, now-t.at)
 	}
 	for i, t := range tasks {
 		t.fut.complete(results[i])
@@ -526,9 +505,9 @@ func (p *Pipeline) completeAll(tasks []task, results []Result) {
 // claim attempt will see the freed slot. Called WITHOUT p.mu held.
 func (p *Pipeline) release(n int) {
 	now := p.occ.Add(-int64(n))
-	p.completed.Add(int64(n))
-	p.m.setDepth(int(now))
-	p.m.noteCompletionBatch()
+	p.m.completed.Add(int64(n))
+	p.m.depth.Set(now)
+	p.m.completionFlocks.Inc()
 	if p.bpWaiters.Load() > 0 {
 		p.mu.Lock()
 		if n == 1 {
@@ -559,15 +538,13 @@ func (p *Pipeline) workerLoop() {
 		var res Result
 		if poison != nil {
 			res = Result{Err: poison}
-		} else if p.m != nil {
+		} else {
 			start := p.eng.NowCheap()
 			p.m.observeStage(t.cmd.Op, stageQueue, start-t.at)
 			res = p.exec(t.cmd)
 			now := p.eng.NowCheap()
 			p.m.observeStage(t.cmd.Op, stageExec, now-start)
 			p.m.observeStage(t.cmd.Op, stageTotal, now-t.at)
-		} else {
-			res = p.exec(t.cmd)
 		}
 		t.fut.complete(res)
 		// The occupancy release is lock-free; only the next dequeue needs
@@ -692,22 +669,17 @@ func (c *coalescer) loop() {
 				results[i] = Result{Err: poison}
 			}
 		default:
-			var start time.Duration
-			if p.m != nil {
-				start = p.eng.NowCheap()
-				for _, t := range tasks {
-					p.m.observeStage(t.cmd.Op, stageCoalesce, start-t.at)
-				}
+			start := p.eng.NowCheap()
+			for _, t := range tasks {
+				p.m.observeStage(t.cmd.Op, stageCoalesce, start-t.at)
 			}
 			c.cmd = Command{Op: OpPutBatch, Records: batch, Merged: len(tasks)}
 			res := p.exec(&c.cmd)
-			if p.m != nil {
-				// The group commit's exec is the NVRAM batch commit; charge
-				// its latency to every merged command.
-				d := p.eng.NowCheap() - start
-				for _, t := range tasks {
-					p.m.observeStage(t.cmd.Op, stageExec, d)
-				}
+			// The group commit's exec is the NVRAM batch commit; charge
+			// its latency to every merged command.
+			d := p.eng.NowCheap() - start
+			for _, t := range tasks {
+				p.m.observeStage(t.cmd.Op, stageExec, d)
 			}
 			if res.Err != nil && len(tasks) > 1 {
 				// A merged commit is all-or-nothing in the firmware, so its
@@ -724,12 +696,11 @@ func (c *coalescer) loop() {
 				}
 				break
 			}
-			p.batchCommits.Add(1)
-			p.batchRecs.Add(int64(len(batch)))
+			p.m.batchCommits.Inc()
+			p.m.batchRecords.Observe(int64(len(batch)))
 			if len(tasks) > 1 {
-				p.coalescedPuts.Add(int64(len(tasks)))
+				p.m.coalescedPuts.Add(int64(len(tasks)))
 			}
-			p.m.noteCommit(len(batch), len(tasks))
 			for i := range results {
 				results[i] = res
 			}
@@ -840,20 +811,21 @@ func (p *Pipeline) Join() {
 	p.drainInline()
 }
 
-// Stats returns a snapshot of pipeline counters. Lock-free, so it is safe
-// to call from outside the simulation (final reports after the engine has
-// drained).
+// Stats returns a snapshot of pipeline counters, read from the telemetry
+// series. Lock-free, so it is safe to call from outside the simulation
+// (final reports after the engine has drained).
 func (p *Pipeline) Stats() Stats {
+	m := p.m
 	s := Stats{
-		Submitted:     p.submitted.Load(),
-		Completed:     p.completed.Load(),
-		CoalescedPuts: p.coalescedPuts.Load(),
-		BatchCommits:  p.batchCommits.Load(),
-		BatchRecords:  p.batchRecs.Load(),
-		MaxOccupancy:  p.maxOcc.Load(),
+		Submitted:     m.submitOcc.Count(),
+		Completed:     m.completed.Value(),
+		CoalescedPuts: m.coalescedPuts.Value(),
+		BatchCommits:  m.batchCommits.Value(),
+		BatchRecords:  m.batchRecords.Sum(),
+		MaxOccupancy:  m.submitOcc.Max(),
 	}
-	if n := p.occSamples.Load(); n > 0 {
-		s.MeanOccupancy = float64(p.occSum.Load()) / float64(n)
+	if s.Submitted > 0 {
+		s.MeanOccupancy = float64(m.submitOcc.Sum()) / float64(s.Submitted)
 	}
 	return s
 }

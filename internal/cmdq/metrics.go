@@ -29,14 +29,15 @@ var stageNames = [numStages]string{"queue", "coalesce", "exec", "total"}
 // numOps sizes the per-op instrument tables (Op values start at 1).
 const numOps = int(OpDeleteNS) + 1
 
-// Metrics holds the pipeline's pre-resolved telemetry instruments. Resolve
-// once with NewMetrics at device startup and pass via Config.Metrics; every
-// hot-path record is then an atomic add with no registry lookup. A nil
-// *Metrics disables all instrumentation (including the eng.Now timestamp
-// reads), which is the baseline for the telemetry overhead budget.
-type Metrics struct {
-	depth            *telemetry.Gauge   // current occupancy (bounded by Depth)
-	backpressure     *telemetry.Counter // Submits that parked on a full pipeline
+// metrics holds the pipeline's pre-resolved telemetry instruments,
+// registered once in the pipeline's registry (Config.Registry). Every
+// hot-path record is an atomic add with no registry lookup, and they are
+// the pipeline's only counters: Pipeline.Stats reads them back.
+type metrics struct {
+	depth            *telemetry.Gauge     // current occupancy (bounded by Depth)
+	submitOcc        *telemetry.Histogram // occupancy reached by each accepted command
+	completed        *telemetry.Counter   // commands whose completion resolved
+	backpressure     *telemetry.Counter   // Submits that parked on a full pipeline
 	batchRecords     *telemetry.Histogram
 	batchCommits     *telemetry.Counter
 	coalescedPuts    *telemetry.Counter
@@ -46,12 +47,8 @@ type Metrics struct {
 	reg   *telemetry.Registry // for lazily registering rare (admin) op series
 }
 
-// NewMetrics registers the pipeline's instruments in r. Returns nil when r
-// is nil so a disabled registry disables cmdq tracing wholesale.
-func NewMetrics(r *telemetry.Registry) *Metrics {
-	if r == nil {
-		return nil
-	}
+// newMetrics registers the pipeline's instruments in r.
+func newMetrics(r *telemetry.Registry) *metrics {
 	r.Help("kaml_cmdq_occupancy", "Commands submitted but not yet completed.")
 	r.Help("kaml_cmdq_backpressure_waits_total", "Submit calls that parked because the pipeline was at Depth.")
 	r.Help("kaml_cmdq_batch_records", "Records per coalescer group commit.")
@@ -59,7 +56,9 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 	r.Help("kaml_cmdq_coalesced_puts_total", "Write commands that shared a batch commit with at least one other.")
 	r.Help("kaml_cmdq_completion_batches_total", "Completion deliveries; each releases one drained batch's occupancy with a single queue-space wakeup.")
 	r.Help("kaml_cmdq_stage_seconds", "Per-stage command latency (virtual time) by op and lifecycle stage.")
-	m := &Metrics{
+	r.Help("kaml_cmdq_submit_occupancy", "Occupancy including the command, sampled as each command is accepted (the count is the commands accepted).")
+	r.Help("kaml_cmdq_completed_total", "Commands whose completion resolved.")
+	m := &metrics{
 		depth:            r.Gauge("kaml_cmdq_occupancy"),
 		backpressure:     r.Counter("kaml_cmdq_backpressure_waits_total"),
 		batchRecords:     r.Histogram("kaml_cmdq_batch_records", telemetry.UnitNone),
@@ -74,56 +73,23 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 			m.stageHist(op, st, r)
 		}
 	}
+	m.submitOcc = r.Histogram("kaml_cmdq_submit_occupancy", telemetry.UnitNone)
+	m.completed = r.Counter("kaml_cmdq_completed_total")
 	m.reg = r
 	return m
 }
 
-func (m *Metrics) stageHist(op Op, st int, r *telemetry.Registry) *telemetry.Histogram {
+func (m *metrics) stageHist(op Op, st int, r *telemetry.Registry) *telemetry.Histogram {
 	h := r.Histogram("kaml_cmdq_stage_seconds", telemetry.UnitSeconds,
 		"op", op.String(), "stage", stageNames[st])
 	m.stage[op][st] = h
 	return h
 }
 
-func (m *Metrics) observeStage(op Op, st int, d time.Duration) {
-	if m == nil {
-		return
-	}
+func (m *metrics) observeStage(op Op, st int, d time.Duration) {
 	h := m.stage[op][st]
 	if h == nil {
 		h = m.stageHist(op, st, m.reg)
 	}
 	h.ObserveDuration(d)
-}
-
-func (m *Metrics) setDepth(occ int) {
-	if m == nil {
-		return
-	}
-	m.depth.Set(int64(occ))
-}
-
-func (m *Metrics) noteBackpressure() {
-	if m == nil {
-		return
-	}
-	m.backpressure.Inc()
-}
-
-func (m *Metrics) noteCompletionBatch() {
-	if m == nil {
-		return
-	}
-	m.completionFlocks.Inc()
-}
-
-func (m *Metrics) noteCommit(records, mergedCmds int) {
-	if m == nil {
-		return
-	}
-	m.batchCommits.Inc()
-	m.batchRecords.Observe(int64(records))
-	if mergedCmds > 1 {
-		m.coalescedPuts.Add(int64(mergedCmds))
-	}
 }

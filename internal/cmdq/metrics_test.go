@@ -6,6 +6,7 @@ import (
 
 	"github.com/kaml-ssd/kaml/internal/sim"
 	"github.com/kaml-ssd/kaml/internal/telemetry"
+	"github.com/kaml-ssd/kaml/internal/telemetry/telemetrytest"
 )
 
 // TestStageHistogramsTraceLifecycle drives direct and coalesced commands
@@ -24,7 +25,7 @@ func TestStageHistogramsTraceLifecycle(t *testing.T) {
 		Depth: 32, Workers: 2,
 		CoalesceWindow:  10 * time.Microsecond,
 		MaxBatchRecords: 16,
-		Metrics:         NewMetrics(reg),
+		Registry:        reg,
 	}, rec.exec)
 	wg := eng.NewWaitGroup()
 	for i := 0; i < gets; i++ {
@@ -102,7 +103,7 @@ func TestBackpressureCounter(t *testing.T) {
 	eng := sim.NewEngine()
 	rec := newRecorder(eng, 50*time.Microsecond)
 	reg := telemetry.NewRegistry()
-	p := New(eng, Config{Depth: 1, Workers: 1, Metrics: NewMetrics(reg)}, rec.exec)
+	p := New(eng, Config{Depth: 1, Workers: 1, Registry: reg}, rec.exec)
 	wg := eng.NewWaitGroup()
 	for i := 0; i < 4; i++ {
 		i := i
@@ -122,4 +123,63 @@ func TestBackpressureCounter(t *testing.T) {
 		}
 	})
 	eng.Wait()
+}
+
+// TestStatsViewRegistry runs direct Gets, RunDirect Gets and concurrent
+// Puts that coalesce into shared batch commits, and checks every Stats
+// field against the registry series it views: counters as scraped from
+// the exposition, the occupancy peak and mean from the registry snapshot.
+func TestStatsViewRegistry(t *testing.T) {
+	eng := sim.NewEngine()
+	rec := newRecorder(eng, 20*time.Microsecond)
+	reg := telemetry.NewRegistry()
+	p := New(eng, Config{Depth: 8, Workers: 2, CoalesceWindow: 10 * time.Microsecond, Registry: reg}, rec.exec)
+	wg := eng.NewWaitGroup()
+	for i := 0; i < 16; i++ {
+		i := i
+		wg.Add(1)
+		eng.Go("client", func() {
+			defer wg.Done()
+			p.Submit(&Command{Op: OpGet, Key: uint64(i)}).Wait()
+			p.RunDirect(&Command{Op: OpGet, Key: uint64(i)})
+			p.Submit(&Command{Op: OpPut, Records: []Record{{Namespace: 1, Key: uint64(i), Value: []byte("v")}}}).Wait()
+		})
+	}
+	eng.Go("main", func() {
+		wg.Wait()
+		p.Close()
+	})
+	eng.Wait()
+
+	st := p.Stats()
+	scraped := telemetrytest.Scrape(reg)
+	var occ telemetry.MetricSnap
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name == "kaml_cmdq_submit_occupancy" {
+			occ = m
+		}
+	}
+	for _, v := range []struct {
+		field     string
+		got, want float64
+	}{
+		{"Submitted", float64(st.Submitted), float64(scraped["kaml_cmdq_submit_occupancy_count"])},
+		{"Completed", float64(st.Completed), float64(scraped["kaml_cmdq_completed_total"])},
+		{"CoalescedPuts", float64(st.CoalescedPuts), float64(scraped["kaml_cmdq_coalesced_puts_total"])},
+		{"BatchCommits", float64(st.BatchCommits), float64(scraped["kaml_cmdq_batch_commits_total"])},
+		{"BatchRecords", float64(st.BatchRecords), float64(scraped["kaml_cmdq_batch_records_sum"])},
+		{"MaxOccupancy", float64(st.MaxOccupancy), occ.Max},
+		{"MeanOccupancy", st.MeanOccupancy, occ.Mean},
+	} {
+		if v.got != v.want {
+			t.Errorf("%s = %v, registry series = %v", v.field, v.got, v.want)
+		}
+		if v.got == 0 {
+			t.Errorf("%s = 0: the workload should have moved it", v.field)
+		}
+	}
+	if st.Submitted != 48 || st.Completed != 48 || st.BatchRecords != 16 {
+		t.Errorf("submitted %d, completed %d, batch records %d; want 48, 48, 16",
+			st.Submitted, st.Completed, st.BatchRecords)
+	}
 }

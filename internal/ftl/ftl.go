@@ -49,7 +49,6 @@ type Config struct {
 	GCHighWater        int           // GC collects until this many free blocks
 	RangeLockCost      time.Duration // firmware CPU per range-lock acquire
 	RangeLockShift     uint          // lba >> shift selects the lock stripe
-	DisableTelemetry   bool          // skip the metrics registry entirely
 }
 
 // DefaultConfig sizes the device so that the exposed LBA space is ~80% of
@@ -109,16 +108,17 @@ type Device struct {
 	flushDone bool           // flusher has drained and exited
 	stopped   *sim.WaitGroup // background actors
 
-	stats Stats
-
-	// Telemetry (nil when Config.DisableTelemetry). The baseline exposes
-	// its GC economics so the paper's KAML-vs-block-SSD comparisons can be
-	// watched live next to the kamlssd series.
-	tel        *telemetry.Registry
-	gcCopied   *telemetry.Counter   // valid sectors relocated by GC
-	gcErased   *telemetry.Counter   // GC block erases
-	gcPause    *telemetry.Histogram // one victim collection (virtual time)
-	freeBlocks *telemetry.Gauge     // allocator free-block count
+	// Telemetry: the device's only counters (Stats reads them back). The
+	// baseline exposes its GC economics so the paper's KAML-vs-block-SSD
+	// comparisons can be watched live next to the kamlssd series.
+	tel                          *telemetry.Registry
+	reads, writes, partialWrites *telemetry.Counter
+	rmwReads                     *telemetry.Counter   // flash reads caused by sub-4KB writes
+	programs                     *telemetry.Counter   // pages programmed (flusher and GC)
+	gcCopied                     *telemetry.Counter   // valid sectors relocated by GC
+	gcErased                     *telemetry.Counter   // GC block erases
+	gcPause                      *telemetry.Histogram // one victim collection (virtual time)
+	freeBlocks                   *telemetry.Gauge     // allocator free-block count
 }
 
 // pageJob is one packed page on its way to a chip.
@@ -139,7 +139,8 @@ type chipQueue struct {
 
 const chipQueueDepth = 2
 
-// Stats counts host-visible and internal operations.
+// Stats counts host-visible and internal operations. It is a view over
+// the device's telemetry series (ftl_*_total).
 type Stats struct {
 	Reads, Writes, PartialWrites int64
 	RMWReads                     int64 // flash reads caused by sub-4KB writes
@@ -178,17 +179,25 @@ func New(arr *flash.Array, ctrl *nvme.Controller, cfg Config) *Device {
 	for i := range d.rangeLocks {
 		d.rangeLocks[i] = d.eng.NewMutex(fmt.Sprintf("ftl-range%d", i))
 	}
-	if !cfg.DisableTelemetry {
-		d.tel = telemetry.NewRegistry()
-		d.tel.Help("ftl_gc_copied_sectors_total", "Valid sectors relocated out of GC victim blocks.")
-		d.tel.Help("ftl_gc_erases_total", "GC block erases.")
-		d.tel.Help("ftl_gc_pause_seconds", "Duration of one GC victim collection (virtual time).")
-		d.tel.Help("ftl_free_blocks", "Allocator free-block count.")
-		d.gcCopied = d.tel.Counter("ftl_gc_copied_sectors_total")
-		d.gcErased = d.tel.Counter("ftl_gc_erases_total")
-		d.gcPause = d.tel.Histogram("ftl_gc_pause_seconds", telemetry.UnitSeconds)
-		d.freeBlocks = d.tel.Gauge("ftl_free_blocks")
-	}
+	d.tel = telemetry.NewRegistry()
+	d.tel.Help("ftl_gc_copied_sectors_total", "Valid sectors relocated out of GC victim blocks.")
+	d.tel.Help("ftl_gc_erases_total", "GC block erases.")
+	d.tel.Help("ftl_gc_pause_seconds", "Duration of one GC victim collection (virtual time).")
+	d.tel.Help("ftl_free_blocks", "Allocator free-block count.")
+	d.tel.Help("ftl_reads_total", "Host sector reads.")
+	d.tel.Help("ftl_writes_total", "Host full-sector writes.")
+	d.tel.Help("ftl_partial_writes_total", "Host sub-4KB writes (read-modify-write).")
+	d.tel.Help("ftl_rmw_reads_total", "Flash reads issued by sub-4KB writes.")
+	d.tel.Help("ftl_programs_total", "Flash pages programmed by the flusher and GC.")
+	d.gcCopied = d.tel.Counter("ftl_gc_copied_sectors_total")
+	d.gcErased = d.tel.Counter("ftl_gc_erases_total")
+	d.gcPause = d.tel.Histogram("ftl_gc_pause_seconds", telemetry.UnitSeconds)
+	d.freeBlocks = d.tel.Gauge("ftl_free_blocks")
+	d.reads = d.tel.Counter("ftl_reads_total")
+	d.writes = d.tel.Counter("ftl_writes_total")
+	d.partialWrites = d.tel.Counter("ftl_partial_writes_total")
+	d.rmwReads = d.tel.Counter("ftl_rmw_reads_total")
+	d.programs = d.tel.Counter("ftl_programs_total")
 	d.pendingByBlock = make(map[int]int)
 	d.chipQueues = make([]*chipQueue, fc.Chips())
 	d.stopped = d.eng.NewWaitGroup()
@@ -226,15 +235,21 @@ func (d *Device) Close() {
 	d.stopped.Wait()
 }
 
-// Stats returns a snapshot of the device counters.
+// Stats returns a snapshot of the device counters, read lock-free from the
+// telemetry registry.
 func (d *Device) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stats
+	return Stats{
+		Reads:         d.reads.Value(),
+		Writes:        d.writes.Value(),
+		PartialWrites: d.partialWrites.Value(),
+		RMWReads:      d.rmwReads.Value(),
+		GCCopies:      d.gcCopied.Value(),
+		GCErases:      d.gcErased.Value(),
+		Programs:      d.programs.Value(),
+	}
 }
 
-// Telemetry returns the device's metrics registry, or nil when
-// Config.DisableTelemetry.
+// Telemetry returns the device's metrics registry.
 func (d *Device) Telemetry() *telemetry.Registry { return d.tel }
 
 // Capacity returns the number of exposed 4 KB sectors.
@@ -265,7 +280,7 @@ func (d *Device) ReadSector(lba int, buf []byte) error {
 		defer rl.Unlock()
 
 		d.mu.Lock()
-		d.stats.Reads++
+		d.reads.Inc()
 		if data, ok := d.buffer.get(lba); ok {
 			copy(buf, data)
 			d.mu.Unlock()
@@ -306,9 +321,7 @@ func (d *Device) WriteSector(lba int, data []byte) error {
 		rl.Lock()
 		defer rl.Unlock()
 		err = d.bufferSector(lba, data)
-		d.mu.Lock()
-		d.stats.Writes++
-		d.mu.Unlock()
+		d.writes.Inc()
 	})
 	return err
 }
@@ -333,7 +346,7 @@ func (d *Device) WritePartial(lba, off int, data []byte) error {
 
 		sector := make([]byte, SectorSize)
 		d.mu.Lock()
-		d.stats.PartialWrites++
+		d.partialWrites.Inc()
 		old, buffered := d.buffer.get(lba)
 		loc := d.mapTab[lba]
 		d.mu.Unlock()
@@ -349,9 +362,7 @@ func (d *Device) WritePartial(lba, off int, data []byte) error {
 				err = rerr
 				return
 			}
-			d.mu.Lock()
-			d.stats.RMWReads++
-			d.mu.Unlock()
+			d.rmwReads.Inc()
 			copy(sector, page[slot*SectorSize:(slot+1)*SectorSize])
 		}
 		copy(sector[off:], data)
@@ -485,8 +496,8 @@ func (d *Device) chipWriterLoop(chip int) {
 			panic(fmt.Sprintf("ftl: program %d: %v", job.ppn, err))
 		}
 
+		d.programs.Inc()
 		d.mu.Lock()
-		d.stats.Programs++
 		for i, lba := range job.lbas {
 			newLoc := location(int64(job.ppn)*int64(d.spp) + int64(i))
 			if d.buffer.finish(lba, job.seqs[i]) {

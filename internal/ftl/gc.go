@@ -39,13 +39,9 @@ func (d *Device) gcLoop() {
 			if !ok {
 				break // nothing sealed yet; wait for writes to seal blocks
 			}
-			if d.tel != nil {
-				start := d.eng.NowCheap()
-				d.collectBlock(chipIdx, block)
-				d.gcPause.ObserveDuration(d.eng.NowCheap() - start)
-			} else {
-				d.collectBlock(chipIdx, block)
-			}
+			start := d.eng.NowCheap()
+			d.collectBlock(chipIdx, block)
+			d.gcPause.ObserveDuration(d.eng.NowCheap() - start)
 		}
 		d.eng.Sleep(d.cfg.GCPoll)
 	}
@@ -131,7 +127,6 @@ func (d *Device) collectBlock(chipIdx, block int) {
 	err := d.arr.EraseBlock(erasePPN)
 	d.gcErased.Inc()
 	d.mu.Lock()
-	d.stats.GCErases++
 	if err != nil {
 		d.alloc.retire(chipIdx, block)
 	} else {
@@ -174,9 +169,8 @@ func (d *Device) relocateGroup(group []liveSector) {
 		panic(fmt.Sprintf("ftl: GC program %d: %v", ppn, perr))
 	}
 	d.gcCopied.Add(int64(len(lbas)))
+	d.programs.Inc()
 	d.mu.Lock()
-	d.stats.GCCopies += int64(len(lbas))
-	d.stats.Programs++
 	for i, lba := range lbas {
 		newLoc := location(int64(ppn)*int64(d.spp) + int64(i))
 		d.alloc.invalidate(d.mapTab[lba])

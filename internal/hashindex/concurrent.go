@@ -40,8 +40,7 @@ type ConcurrentTable struct {
 	// tables instead report ErrFull once Len() reaches capHint, matching
 	// Table's semantics. AutoGrow tables ignore it.
 	capHint   int
-	retries   atomic.Int64 // seqlock re-reads + epoch restarts (observability)
-	retryHook func(int64)  // optional observer; set via OnRetry before sharing
+	retryHook func(int64) // optional observer; set via OnRetry before sharing
 	stripes   [numStripes]cstripe
 }
 
@@ -134,13 +133,8 @@ func (t *ConcurrentTable) LoadFactor() float64 {
 	return float64(t.Len()) / float64(t.Capacity())
 }
 
-// ReadRetries returns the cumulative count of seqlock re-reads and epoch
-// restarts Gets have performed — a direct measure of read/write collision
-// on the table.
-func (t *ConcurrentTable) ReadRetries() int64 { return t.retries.Load() }
-
-// OnRetry installs an observer called once per read retry (the firmware
-// feeds its stats counter and telemetry through it). Must be set before
+// OnRetry installs an observer called once per seqlock re-read or epoch
+// restart (the firmware feeds its telemetry counter through it). Must be set before
 // the table is shared with readers; the retry path is rare by design, so
 // the indirect call costs nothing on the common path.
 func (t *ConcurrentTable) OnRetry(fn func(int64)) { t.retryHook = fn }
@@ -156,7 +150,6 @@ func (t *ConcurrentTable) Get(key uint64) (val uint64, probes int, err error) {
 		// A stripe grow may have swapped the array mid-probe; everything
 		// read came from the frozen old epoch, so restart on the new one.
 		if !ok || s.arr.Load() != arr {
-			t.retries.Add(1)
 			if t.retryHook != nil {
 				t.retryHook(1)
 			}

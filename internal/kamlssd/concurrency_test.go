@@ -197,36 +197,21 @@ func stressValOK(v []byte, ns uint32, key uint64, rounds int) bool {
 // spread across namespaces — the workload the per-namespace read locks
 // exist for. Each worker count runs the same total number of Gets; before
 // the lock decomposition every Get serialized on one device mutex.
-// Telemetry is on (the default); compare against
-// BenchmarkConcurrentGetsTelemetryOff for the instrumentation overhead,
-// which must stay under 5%.
 func BenchmarkConcurrentGets(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			benchConcurrentGets(b, workers, false)
+			benchConcurrentGets(b, workers)
 		})
 	}
 }
 
-// BenchmarkConcurrentGetsTelemetryOff is the same workload with the
-// metrics registry disabled (nil instruments, timestamp reads skipped) —
-// the baseline for the telemetry overhead budget.
-func BenchmarkConcurrentGetsTelemetryOff(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			benchConcurrentGets(b, workers, true)
-		})
-	}
-}
-
-func benchConcurrentGets(b *testing.B, workers int, disableTelemetry bool) {
+func benchConcurrentGets(b *testing.B, workers int) {
 	const keys = 256
 	e := sim.NewEngine()
 	arr := flash.New(e, testFlashConfig())
 	ctrl := nvme.New(e, nvme.DefaultConfig())
 	cfg := DefaultConfig(testFlashConfig())
 	cfg.NumLogs = 4
-	cfg.DisableTelemetry = disableTelemetry
 	dev := New(arr, ctrl, cfg)
 	nsIDs := make([]uint32, workers)
 	total := b.N * 512

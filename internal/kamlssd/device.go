@@ -121,13 +121,6 @@ type Config struct {
 	// shards (0 = cmdq default). The model checker sweeps it as a
 	// concurrency-shape knob.
 	CoalesceShards int
-
-	// DisableTelemetry turns off the device's telemetry registry (counters,
-	// gauges, per-stage latency histograms). The default — telemetry on —
-	// is cheap enough to leave enabled (atomic adds on the hot path, no
-	// allocations); disabling exists for the overhead benchmark and for
-	// harnesses that build thousands of short-lived devices.
-	DisableTelemetry bool
 }
 
 // DefaultConfig matches DESIGN.md §5: one log per channel by default.
@@ -211,8 +204,8 @@ type Device struct {
 	pipe *cmdq.Pipeline
 
 	// tel is the device's telemetry registry; met holds the firmware's
-	// pre-resolved instruments (nil when Config.DisableTelemetry). Both
-	// are pure atomics — safe to scrape from plain goroutines outside the
+	// pre-resolved instruments, which Stats reads back. Both are pure
+	// atomics — safe to scrape from plain goroutines outside the
 	// simulation without stalling the virtual clock.
 	tel *telemetry.Registry
 	met *devMetrics
@@ -227,13 +220,11 @@ type Device struct {
 	// deliberately breaks multi-record batch atomicity so the model
 	// checker's own detection can be validated. Never set in production.
 	splitCommit atomic.Bool
-
-	stats Stats
 }
 
-// Stats counts firmware activity. Internally every field is updated with
-// atomic adds — actors woken at the same virtual instant genuinely run in
-// parallel — and Stats() returns an atomically-loaded snapshot.
+// Stats counts firmware activity. It is a typed view over the device's
+// telemetry registry (Device.Stats reads the instruments back), so every
+// field equals the registry series it names in DESIGN.md §11.
 type Stats struct {
 	Gets, Puts, PutRecords int64
 	NVRAMHits              int64 // Gets served from NVRAM
@@ -267,8 +258,8 @@ type Stats struct {
 	DroppedUncommitted int64 // staged values of never-committed batches
 	TornPagesSkipped   int64 // pages failing OOB magic/CRC during the scan
 
-	// Command pipeline (internal/cmdq; sampled from the pipeline rather
-	// than updated by actors).
+	// Command pipeline (internal/cmdq.Stats, a view over the same
+	// registry).
 	PipelineSubmitted int64 // commands accepted into the pipeline
 	PipelineCompleted int64 // commands whose completion resolved
 	CoalescedPuts     int64 // Put commands that shared a group commit
@@ -348,8 +339,8 @@ type namespace struct {
 	// complete while a reader is mid-probe on the shared virtual clock.
 	reader atomic.Pointer[hashindex.ConcurrentTable]
 
-	// onIndexRetry feeds seqlock read-retry counts into the device's stats
-	// and telemetry; set once by newNamespace, attached to each table by
+	// onIndexRetry feeds seqlock read-retry counts into the device's
+	// telemetry; set once by newNamespace, attached to each table by
 	// setIndex before the table is published.
 	onIndexRetry func(int64)
 }
@@ -401,33 +392,28 @@ func New(arr *flash.Array, ctrl *nvme.Controller, cfg Config) *Device {
 	return d
 }
 
-// initLocks builds the device's lock hierarchy (shared by New and
-// Recover).
+// initLocks builds the device's lock hierarchy and telemetry (shared by
+// New and Recover, so the recovery scan counts into the registry).
 func (d *Device) initLocks() {
 	d.mu = d.eng.NewRWMutex("kaml-dev")
 	d.nvMu = d.eng.NewMutex("kaml-nvram")
 	d.keyLks = newKeyLockTable(d.eng)
-	d.chainLenObs = func(l int) { d.met.observeChainLen(l) }
+	d.tel = telemetry.NewRegistry()
+	d.met = newDevMetrics(d.tel, d.cfg.NumLogs)
+	d.chainLenObs = func(l int) { d.met.chainLen.Observe(int64(l)) }
 }
 
 // newNamespace allocates the in-DRAM shell of a namespace, including its
 // index lock.
 func (d *Device) newNamespace(id uint32) *namespace {
 	ns := &namespace{id: id, mu: d.eng.NewRWMutex(fmt.Sprintf("kaml-ns%d", id))}
-	ns.onIndexRetry = func(n int64) {
-		addStat(&d.stats.IndexReadRetries, n)
-		d.met.addIndexReadRetries(n)
-	}
+	ns.onIndexRetry = d.met.indexRetries.Add
 	return ns
 }
 
 // startActors launches the command pipeline, one flusher per log, and the
 // GC actor.
 func (d *Device) startActors() {
-	if !d.cfg.DisableTelemetry {
-		d.tel = telemetry.NewRegistry()
-		d.met = newDevMetrics(d.tel, len(d.logs))
-	}
 	d.pipe = cmdq.New(d.eng, cmdq.Config{
 		Depth:           d.cfg.PipelineDepth,
 		Workers:         d.cfg.PipelineWorkers,
@@ -435,7 +421,7 @@ func (d *Device) startActors() {
 		MaxBatchRecords: d.cfg.MaxCoalesceRecords,
 		CoalesceShards:  d.cfg.CoalesceShards,
 		ClosedErr:       ErrClosed,
-		Metrics:         cmdq.NewMetrics(d.tel),
+		Registry:        d.tel,
 	}, d.execCommand)
 	d.stopped = d.eng.NewWaitGroup()
 	d.flushersLive.Store(int64(len(d.logs)))
@@ -470,10 +456,9 @@ func (d *Device) Engine() *sim.Engine { return d.eng }
 // Config returns the firmware configuration.
 func (d *Device) Config() Config { return d.cfg }
 
-// Telemetry returns the device's metrics registry, or nil when
-// Config.DisableTelemetry. The registry is lock-free to read (atomic
-// snapshots), so admin/scrape goroutines outside the simulation may use it
-// freely.
+// Telemetry returns the device's metrics registry. The registry is
+// lock-free to read (atomic snapshots), so admin/scrape goroutines outside
+// the simulation may use it freely.
 func (d *Device) Telemetry() *telemetry.Registry { return d.tel }
 
 // NVRAM returns the device's battery-backed region. The caller keeps the
@@ -492,20 +477,16 @@ func (d *Device) lookupNS(id uint32) (*namespace, error) {
 	return ns, nil
 }
 
-// addStat atomically bumps one device counter.
-func addStat(p *int64, n int64) { atomic.AddInt64(p, n) }
-
 // noteNVRAMLocked refreshes the NVRAM-occupancy gauge. Called with d.nvMu
 // held (the staged-value map is guarded by it).
 func (d *Device) noteNVRAMLocked() {
-	if d.met != nil {
-		d.met.setNVRAMStaged(len(d.nv.values))
-	}
+	d.met.nvramStaged.Set(int64(len(d.nv.values)))
 }
 
-// Stats returns a snapshot of the device counters.
+// Stats returns a snapshot of the device counters, read lock-free from the
+// telemetry registry.
 func (d *Device) Stats() Stats {
-	s := &d.stats
+	m := d.met
 	ps := d.pipe.Stats()
 	return Stats{
 		PipelineSubmitted: ps.Submitted,
@@ -516,26 +497,26 @@ func (d *Device) Stats() Stats {
 		PipelineMaxQueue:  ps.MaxOccupancy,
 		PipelineMeanQueue: ps.MeanOccupancy,
 
-		Gets:               atomic.LoadInt64(&s.Gets),
-		Puts:               atomic.LoadInt64(&s.Puts),
-		PutRecords:         atomic.LoadInt64(&s.PutRecords),
-		NVRAMHits:          atomic.LoadInt64(&s.NVRAMHits),
-		Programs:           atomic.LoadInt64(&s.Programs),
-		GCCopies:           atomic.LoadInt64(&s.GCCopies),
-		GCErases:           atomic.LoadInt64(&s.GCErases),
-		IndexProbes:        atomic.LoadInt64(&s.IndexProbes),
-		IndexReadRetries:   atomic.LoadInt64(&s.IndexReadRetries),
-		BytesWritten:       atomic.LoadInt64(&s.BytesWritten),
-		FlashBytesWritten:  atomic.LoadInt64(&s.FlashBytesWritten),
-		ProgramRetries:     atomic.LoadInt64(&s.ProgramRetries),
-		ReadRetries:        atomic.LoadInt64(&s.ReadRetries),
-		BlocksRetired:      atomic.LoadInt64(&s.BlocksRetired),
-		VersionsPruned:     atomic.LoadInt64(&s.VersionsPruned),
-		PinnedReads:        atomic.LoadInt64(&s.PinnedReads),
-		RecoveredRecords:   atomic.LoadInt64(&s.RecoveredRecords),
-		ReplayedValues:     atomic.LoadInt64(&s.ReplayedValues),
-		DroppedUncommitted: atomic.LoadInt64(&s.DroppedUncommitted),
-		TornPagesSkipped:   atomic.LoadInt64(&s.TornPagesSkipped),
+		Gets:               m.gets.Value(),
+		Puts:               m.puts.Value(),
+		PutRecords:         m.putRecords.Value(),
+		NVRAMHits:          m.nvramHits.Value(),
+		Programs:           m.programs.Value(),
+		GCCopies:           sumLogs(m.gcCopies),
+		GCErases:           sumLogs(m.gcErases),
+		IndexProbes:        m.indexProbes.Value(),
+		IndexReadRetries:   m.indexRetries.Value(),
+		BytesWritten:       m.bytesWritten.Value(),
+		FlashBytesWritten:  m.flashBytesWritten.Value(),
+		ProgramRetries:     m.programRetries.Value(),
+		ReadRetries:        m.readRetries.Value(),
+		BlocksRetired:      m.blocksRetired.Value(),
+		VersionsPruned:     m.versionsPruned.Value(),
+		PinnedReads:        m.pinnedReads.Value(),
+		RecoveredRecords:   m.recoveredRecords.Value(),
+		ReplayedValues:     m.replayedValues.Value(),
+		DroppedUncommitted: m.droppedUncommitted.Value(),
+		TornPagesSkipped:   m.tornPagesSkipped.Value(),
 	}
 }
 
@@ -683,7 +664,7 @@ func (d *Device) DeleteNamespace(id uint32) error {
 			fam.rootLive = false
 			ns.mu.Lock()
 			if !ns.swapped && ns.index != nil {
-				d.met.addIndexEntries(-ns.index.Len())
+				d.met.indexEntries.Add(int64(-ns.index.Len()))
 			}
 			ns.mu.Unlock()
 		}

@@ -56,13 +56,9 @@ func (d *Device) gcLoop() {
 			if done || !ok {
 				break
 			}
-			if d.met != nil {
-				start := d.eng.NowCheap()
-				d.collectBlock(work, chipIdx, block)
-				d.met.observeGCPause(d.eng.NowCheap() - start)
-			} else {
-				d.collectBlock(work, chipIdx, block)
-			}
+			start := d.eng.NowCheap()
+			d.collectBlock(work, chipIdx, block)
+			d.met.gcPause.ObserveDuration(d.eng.NowCheap() - start)
 		}
 		d.eng.Sleep(d.cfg.GCPoll)
 	}
@@ -78,7 +74,7 @@ func (d *Device) victim(lg *logState) (chipIdx, block int, ok bool) {
 		ch, chip := lg.chipAddr(ci)
 		for b := range lc.blocks {
 			bm := &lc.blocks[b]
-			if d.met != nil && !bm.retired {
+			if !bm.retired {
 				// Refresh the log's wear-spread gauges while we are already
 				// walking every block (the same erase counters drive victim
 				// scoring below).
@@ -120,7 +116,8 @@ func (d *Device) victim(lg *logState) (chipIdx, block int, ok bool) {
 		}
 	}
 	if wearMax >= 0 {
-		d.met.setWearSpread(lg.id, wearMin, wearMax)
+		d.met.wearMin[lg.id].Set(wearMin)
+		d.met.wearMax[lg.id].Set(wearMax)
 	}
 	return chipIdx, block, ok
 }
@@ -150,7 +147,7 @@ func (d *Device) collectBlock(lg *logState, chipIdx, block int) {
 			if err == nil || !errors.Is(err, flash.ErrInjectedFailure) || tries >= maxReadRetries {
 				break
 			}
-			addStat(&d.stats.ReadRetries, 1)
+			d.met.readRetries.Inc()
 		}
 		if err != nil {
 			if errors.Is(err, flash.ErrPowerCut) {
@@ -186,8 +183,8 @@ func (d *Device) collectBlock(lg *logState, chipIdx, block int) {
 			loc := flashLoc(ppn, pl.StartChunk, pl.NumChunks)
 			if d.recordLive(pl.Record, loc) {
 				live = append(live, gcRecord{rec: pl.Record, oldLoc: loc})
-				addStat(&d.stats.GCCopies, 1)
-				d.met.addGCCopiedBytes(lg.id, int64(pl.NumChunks*d.cfg.ChunkSize))
+				d.met.gcCopies[lg.id].Inc()
+				d.met.gcCopiedBytes[lg.id].Add(int64(pl.NumChunks * d.cfg.ChunkSize))
 			}
 		}
 	}
@@ -225,13 +222,11 @@ func (d *Device) collectBlock(lg *logState, chipIdx, block int) {
 		d.nvMu.Lock()
 		d.nv.retireBlock(first)
 		d.nvMu.Unlock()
-		addStat(&d.stats.BlocksRetired, 1)
-		addStat(&d.stats.GCErases, 1)
-		d.met.incGCErases(lg.id)
+		d.met.blocksRetired.Inc()
+		d.met.gcErases[lg.id].Inc()
 		return
 	}
-	addStat(&d.stats.GCErases, 1)
-	d.met.incGCErases(lg.id)
+	d.met.gcErases[lg.id].Inc()
 	lg.mu.Lock()
 	bm := &lg.chips[chipIdx].blocks[block]
 	bm.sealed = false
@@ -252,7 +247,7 @@ func (d *Device) collectBlock(lg *logState, chipIdx, block int) {
 		d.nvMu.Lock()
 		d.nv.retireBlock(first)
 		d.nvMu.Unlock()
-		addStat(&d.stats.BlocksRetired, 1)
+		d.met.blocksRetired.Inc()
 	}
 }
 
@@ -327,7 +322,7 @@ func (d *Device) gcProgram(lg *logState, data, oob []byte) (flash.PPN, error) {
 		if !errors.Is(perr, flash.ErrInjectedFailure) {
 			panic(fmt.Sprintf("kamlssd: GC program: %v", perr))
 		}
-		addStat(&d.stats.ProgramRetries, 1)
+		d.met.programRetries.Inc()
 		if flg, lc, b := d.blockOf(ppn); lc != nil {
 			flg.mu.Lock()
 			lc.blocks[b].progFailed++
@@ -352,8 +347,8 @@ func (d *Device) relocateRecords(lg *logState, live []gcRecord) error {
 		if perr != nil {
 			return perr
 		}
-		addStat(&d.stats.Programs, 1)
-		addStat(&d.stats.FlashBytesWritten, int64(d.fc.PageSize))
+		d.met.programs.Inc()
+		d.met.flashBytesWritten.Add(int64(d.fc.PageSize))
 		// Hold the device read lock across the install loop so namespace
 		// creation/deletion can't observe a half-swung page (same reason as
 		// the flusher's install, log.go).
@@ -416,7 +411,7 @@ func (d *Device) relocateIndexPages(lg *logState, pages []flash.PPN) error {
 		if perr != nil {
 			return perr
 		}
-		addStat(&d.stats.Programs, 1)
+		d.met.programs.Inc()
 		d.mu.RLock()
 		for _, ns := range d.namespacesSorted() {
 			ns.mu.Lock()

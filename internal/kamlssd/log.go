@@ -291,7 +291,7 @@ func (d *Device) flusherLoop(lg *logState) {
 			// program strictly in order — so it re-enters the back of the
 			// queue with a freshly allocated page. No data is lost: the
 			// values are still in NVRAM and the index still points there.
-			addStat(&d.stats.ProgramRetries, 1)
+			d.met.programRetries.Inc()
 			lg.mu.Lock()
 			if flg, lc, b := d.blockOf(sp.ppn); lc != nil && flg == lg {
 				lc.blocks[b].progFailed++
@@ -313,8 +313,8 @@ func (d *Device) flusherLoop(lg *logState) {
 			continue
 		}
 
-		addStat(&d.stats.Programs, 1)
-		addStat(&d.stats.FlashBytesWritten, int64(d.fc.PageSize))
+		d.met.programs.Inc()
+		d.met.flashBytesWritten.Add(int64(d.fc.PageSize))
 		// Hold the device read lock across the whole install so namespace
 		// creation/snapshot (writers) observe either none or all of this
 		// page's index swings — a snapshot taken mid-install could otherwise
@@ -368,8 +368,8 @@ func (d *Device) installFlashLoc(pr pendingRec, ppn flash.PPN) {
 	d.nv.installed(pr.seq)
 	d.noteNVRAMLocked()
 	d.nvMu.Unlock()
-	if d.met != nil && pr.staged > 0 {
-		d.met.observeFlashInstall(d.eng.NowCheap() - pr.staged)
+	if pr.staged > 0 {
+		d.met.flashInstall.ObserveDuration(d.eng.NowCheap() - pr.staged)
 	}
 }
 

@@ -153,8 +153,7 @@ func (d *Device) pruneFamilies() {
 
 func (d *Device) notePruned(n int) {
 	if n > 0 {
-		addStat(&d.stats.VersionsPruned, int64(n))
-		d.met.addVersionsPruned(int64(n))
+		d.met.versionsPruned.Add(int64(n))
 	}
 }
 
@@ -180,7 +179,7 @@ func (d *Device) GetAt(nsID uint32, key uint64, ts uint64) ([]byte, error) {
 	d.ctrl.Submission()
 	d.pinTS(ts)
 	defer d.ReleasePin(ts)
-	addStat(&d.stats.Gets, 1)
+	d.met.gets.Inc()
 	return d.readPinned(ns.fam, key, ts)
 }
 
@@ -263,7 +262,7 @@ func (d *Device) nvFetch(loc location) (v []byte, hit bool, err error) {
 // relocate the record mid-read, so the chain is re-resolved afterwards and
 // the read retried on movement.
 func (d *Device) readPinned(fam *family, key uint64, ts uint64) ([]byte, error) {
-	addStat(&d.stats.PinnedReads, 1)
+	d.met.pinnedReads.Inc()
 	charged := false
 	var err error
 	resolve := func() (location, bool) {
@@ -271,7 +270,7 @@ func (d *Device) readPinned(fam *family, key uint64, ts uint64) ([]byte, error) 
 			loc, hops, rerr := fam.chains.GetAtOrBefore(key, ts)
 			if !charged {
 				charged = true
-				addStat(&d.stats.IndexProbes, int64(hops))
+				d.met.indexProbes.Add(int64(hops))
 				d.ctrl.ComputeProbes(hops)
 			}
 			if rerr == nil {
@@ -304,7 +303,7 @@ func (d *Device) readPinned(fam *family, key uint64, ts uint64) ([]byte, error) 
 				return nil, verr
 			}
 			if hit {
-				addStat(&d.stats.NVRAMHits, 1)
+				d.met.nvramHits.Inc()
 				return v, nil
 			}
 			// Installed to flash between the chain walk and now; the chain
@@ -322,7 +321,7 @@ func (d *Device) readPinned(fam *family, key uint64, ts uint64) ([]byte, error) 
 			}
 			if errors.Is(rerr, flash.ErrInjectedFailure) && readRetries < maxReadRetries {
 				readRetries++
-				addStat(&d.stats.ReadRetries, 1)
+				d.met.readRetries.Inc()
 				continue
 			}
 			cur, ok2 := resolve()

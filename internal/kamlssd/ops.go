@@ -100,7 +100,7 @@ func (d *Device) execGet(nsID uint32, key uint64) ([]byte, error) {
 	if lerr != nil {
 		return nil, lerr
 	}
-	addStat(&d.stats.Gets, 1)
+	d.met.gets.Inc()
 	if ns.origin != 0 {
 		// Snapshot shell: no mapping table of its own. Resolve through the
 		// family's version chains at the snapshot's pinned commit timestamp
@@ -139,7 +139,7 @@ func (d *Device) execGet(nsID uint32, key uint64) ([]byte, error) {
 			}
 			if !charged {
 				charged = true
-				addStat(&d.stats.IndexProbes, int64(probes))
+				d.met.indexProbes.Add(int64(probes))
 				d.ctrl.ComputeProbes(probes)
 			}
 			if gerr != nil {
@@ -169,7 +169,7 @@ func (d *Device) execGet(nsID uint32, key uint64) ([]byte, error) {
 			return nil, verr
 		}
 		if hit {
-			addStat(&d.stats.NVRAMHits, 1)
+			d.met.nvramHits.Inc()
 			return v, nil
 		}
 		// The flusher installed the flash location between our index
@@ -213,7 +213,7 @@ func (d *Device) execGet(nsID uint32, key uint64) ([]byte, error) {
 			}
 			if errors.Is(rerr, flash.ErrInjectedFailure) && readRetries < maxReadRetries {
 				readRetries++
-				addStat(&d.stats.ReadRetries, 1)
+				d.met.readRetries.Inc()
 				continue
 			}
 			cur, ok2 := lookup()
@@ -395,10 +395,7 @@ func (d *Device) execPut(batch []cmdq.Record, merged int) error {
 		d.nv.stage(seq, r.Namespace, r.Key, r.Value, batchID)
 		d.noteNVRAMLocked()
 		d.nvMu.Unlock()
-		var stagedAt time.Duration
-		if d.met != nil {
-			stagedAt = d.eng.NowCheap()
-		}
+		stagedAt := d.eng.NowCheap()
 
 		// One upsert does the supersede lookup and the NVRAM-location
 		// install in a single probe sequence (the old Get+Put pair
@@ -468,7 +465,7 @@ func (d *Device) execPut(batch []cmdq.Record, merged int) error {
 			lg.workCv.Signal() // arm the flusher's batching timer
 		}
 		lg.mu.Unlock()
-		addStat(&d.stats.BytesWritten, int64(len(r.Value)))
+		d.met.bytesWritten.Add(int64(len(r.Value)))
 	}
 	if d.crashed.Load() || !d.arr.Powered() {
 		d.noticePowerLoss()
@@ -501,10 +498,10 @@ func (d *Device) execPut(batch []cmdq.Record, merged int) error {
 	if cmds < 1 {
 		cmds = 1
 	}
-	addStat(&d.stats.Puts, int64(cmds))
-	addStat(&d.stats.PutRecords, int64(len(batch)))
-	addStat(&d.stats.IndexProbes, int64(totalProbes))
-	d.met.addIndexEntries(newKeys)
+	d.met.puts.Add(int64(cmds))
+	d.met.putRecords.Add(int64(len(batch)))
+	d.met.indexProbes.Add(int64(totalProbes))
+	d.met.indexEntries.Add(int64(newKeys))
 	d.keyLks.unlockAll(keys)
 	// Put's index lookups run on the controller's lookup engine and
 	// overlap with the NVRAM DMA, so the charged CPU work is the fixed

@@ -69,7 +69,7 @@ func Recover(arr *flash.Array, ctrl *nvme.Controller, cfg Config, nv *NVRAM) (*D
 	// 1. Namespaces from the catalog (sorted for determinism; a root's ID
 	// is always smaller than its snapshots', so families exist before their
 	// shells). The scan (steps 1-4) is single-threaded — no actor runs
-	// until step 5 — so the indices, allocator, and stats need no locking.
+	// until step 5 — so the indices and allocator need no locking.
 	for _, m := range nv.sortedCatalog() {
 		nLogs := m.numLogs
 		if nLogs <= 0 || nLogs > len(d.logs) {
@@ -103,7 +103,7 @@ func Recover(arr *flash.Array, ctrl *nvme.Controller, cfg Config, nv *NVRAM) (*D
 	}
 
 	// 2. Uncommitted batches vanish whole.
-	d.stats.DroppedUncommitted = int64(nv.dropUncommitted())
+	d.met.droppedUncommitted.Add(int64(nv.dropUncommitted()))
 
 	// 3 + 4. Scan the logs and rebuild the allocator.
 	cr := newChainRebuild(d)
@@ -172,7 +172,7 @@ func Recover(arr *flash.Array, ctrl *nvme.Controller, cfg Config, nv *NVRAM) (*D
 	// registry is fresh; incremental updates resume from here).
 	for _, m := range nv.sortedCatalog() {
 		if ns := d.namespaces[m.id]; ns.index != nil {
-			d.met.addIndexEntries(ns.index.Len())
+			d.met.indexEntries.Add(int64(ns.index.Len()))
 		}
 	}
 	if err := d.restageNVRAM(replay); err != nil {
@@ -285,7 +285,7 @@ func (cr *chainRebuild) build(d *Device) error {
 				head = c
 				if loc := location(c.loc); loc.isFlash() {
 					d.creditValid(loc)
-					d.stats.RecoveredRecords++
+					d.met.recoveredRecords.Inc()
 				}
 			}
 			if fam.rootLive && head.seq != 0 {
@@ -310,21 +310,21 @@ func (d *Device) scanBlock(lg *logState, cr *chainRebuild, ch, chip, b, n int) e
 			if err == nil || !errors.Is(err, flash.ErrInjectedFailure) || tries >= maxReadRetries {
 				break
 			}
-			d.stats.ReadRetries++
+			d.met.readRetries.Inc()
 		}
 		if err != nil {
 			if errors.Is(err, flash.ErrInjectedFailure) {
 				// A persistently unreadable page: skip it. Any record whose
 				// newest copy sat there is served by an older copy or the
 				// NVRAM replay (committed data is in NVRAM until installed).
-				d.stats.TornPagesSkipped++
+				d.met.tornPagesSkipped.Inc()
 				continue
 			}
 			return fmt.Errorf("kamlssd: recovery scan ppn %d: %w", ppn, err)
 		}
 		ptype, ok := checkOOB(oob, data)
 		if !ok {
-			d.stats.TornPagesSkipped++
+			d.met.tornPagesSkipped.Inc()
 			continue
 		}
 		if ptype != pageTypeRecord {
@@ -363,11 +363,11 @@ func (d *Device) padBlock(lc *logChip, ch, chip, b int) error {
 		switch {
 		case err == nil:
 		case errors.Is(err, flash.ErrInjectedFailure):
-			d.stats.ProgramRetries++
+			d.met.programRetries.Inc()
 		case errors.Is(err, flash.ErrWornOut):
 			lc.blocks[b].retired = true
 			d.nv.retireBlock(first)
-			d.stats.BlocksRetired++
+			d.met.blocksRetired.Inc()
 			return nil
 		default:
 			return fmt.Errorf("kamlssd: recovery pad block: %w", err)
@@ -438,7 +438,7 @@ func (d *Device) restageNVRAM(replay []uint64) error {
 		})
 		lg.workCv.Signal()
 		lg.mu.Unlock()
-		addStat(&d.stats.ReplayedValues, 1)
+		d.met.replayedValues.Inc()
 	}
 	return nil
 }

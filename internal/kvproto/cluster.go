@@ -52,13 +52,12 @@ type ClusterServer struct {
 // NewClusterServer wraps node `node` of cl.
 func NewClusterServer(cl *cluster.Cluster, node int) *ClusterServer {
 	s := &ClusterServer{cl: cl, node: node, conns: make(map[net.Conn]struct{})}
-	if r := cl.Telemetry(); r != nil {
-		r.Help("kaml_cluster_srv_inflight_requests", "Framed commands admitted and executing, all connections, per node.")
-		r.Help("kaml_cluster_srv_writer_queue_depth", "Completions queued for connection writers, all connections, per node.")
-		id := fmt.Sprintf("%d", node)
-		s.inFlight = r.Gauge("kaml_cluster_srv_inflight_requests", "node", id)
-		s.writerQ = r.Gauge("kaml_cluster_srv_writer_queue_depth", "node", id)
-	}
+	r := cl.Telemetry()
+	r.Help("kaml_cluster_srv_inflight_requests", "Framed commands admitted and executing, all connections, per node.")
+	r.Help("kaml_cluster_srv_writer_queue_depth", "Completions queued for connection writers, all connections, per node.")
+	id := fmt.Sprintf("%d", node)
+	s.inFlight = r.Gauge("kaml_cluster_srv_inflight_requests", "node", id)
+	s.writerQ = r.Gauge("kaml_cluster_srv_writer_queue_depth", "node", id)
 	return s
 }
 

@@ -53,8 +53,7 @@ type Server struct {
 	closed bool
 	conns  map[net.Conn]struct{}
 
-	// Telemetry (nil instruments when the device's registry is disabled).
-	// inFlight counts framed commands admitted but not yet completed across
+	// Telemetry, registered in the device's registry. inFlight counts framed commands admitted but not yet completed across
 	// all connections; writerQ is the total backlog of completions waiting
 	// for connection writer goroutines. warnOnce fires the one-time
 	// writer-backlog warning (see handleFramed).
@@ -66,12 +65,11 @@ type Server struct {
 // NewServer wraps an open device.
 func NewServer(dev *kaml.Device) *Server {
 	s := &Server{dev: dev, conns: make(map[net.Conn]struct{})}
-	if r := dev.Telemetry(); r != nil {
-		r.Help("kaml_srv_inflight_requests", "Framed commands admitted and executing on the device, all connections.")
-		r.Help("kaml_srv_writer_queue_depth", "Completions queued for connection writer goroutines, all connections.")
-		s.inFlight = r.Gauge("kaml_srv_inflight_requests")
-		s.writerQ = r.Gauge("kaml_srv_writer_queue_depth")
-	}
+	r := dev.Telemetry()
+	r.Help("kaml_srv_inflight_requests", "Framed commands admitted and executing on the device, all connections.")
+	r.Help("kaml_srv_writer_queue_depth", "Completions queued for connection writer goroutines, all connections.")
+	s.inFlight = r.Gauge("kaml_srv_inflight_requests")
+	s.writerQ = r.Gauge("kaml_srv_writer_queue_depth")
 	return s
 }
 
@@ -284,9 +282,7 @@ func (s *Server) cmdGet(w io.Writer, fields []string) {
 }
 
 func (s *Server) cmdStats(w io.Writer) {
-	var st kaml.Stats
-	s.runOnDevice(func() { st = s.dev.Stats() })
-	fmt.Fprintf(w, "%s\n", statsLine(st))
+	fmt.Fprintf(w, "%s\n", statsLine(s.dev.Stats()))
 }
 
 // TextClient is a minimal serial client for the legacy text protocol. A

@@ -39,9 +39,7 @@ func (m *Manager) Backoff() {
 	m.mu.Lock()
 	c := m.cBackoffs
 	m.mu.Unlock()
-	if c != nil {
-		c.Inc()
-	}
+	c.Inc()
 	m.eng.Sleep(DieBackoff)
 }
 
@@ -75,22 +73,17 @@ type Manager struct {
 	recordsPerLock uint64
 	locks          map[LockID]*lockState
 
-	acquires, waits, dies int64
-
-	// Telemetry instruments, nil until Instrument is called (scrape-free
-	// workloads pay nothing). Guarded by m.mu.
+	// Telemetry instruments, nil (and inert) until Instrument is called:
+	// a manager without a registry counts nothing. Guarded by m.mu.
 	cAcquires, cWaits, cDies, cBackoffs *telemetry.Counter
 }
 
 // Instrument registers the lock manager's counters in r and starts
 // exporting: kaml_lockmgr_acquires_total, kaml_lockmgr_waits_total,
 // kaml_lockmgr_dies_total (wait-die kills), and
-// kaml_lockmgr_backoffs_total (post-die retry backoffs). Counts accumulated
-// before the call are exported retroactively. A nil registry is a no-op.
+// kaml_lockmgr_backoffs_total (post-die retry backoffs). Call it before
+// the first Acquire: events before the call are not counted.
 func (m *Manager) Instrument(r *telemetry.Registry) {
-	if r == nil {
-		return
-	}
 	r.Help("kaml_lockmgr_acquires_total", "Lock acquisitions requested (includes re-acquires and upgrades).")
 	r.Help("kaml_lockmgr_waits_total", "Acquire passes that parked waiting for a conflicting holder.")
 	r.Help("kaml_lockmgr_dies_total", "Wait-die aborts: younger requesters killed by an older holder.")
@@ -101,9 +94,6 @@ func (m *Manager) Instrument(r *telemetry.Registry) {
 	m.cWaits = r.Counter("kaml_lockmgr_waits_total")
 	m.cDies = r.Counter("kaml_lockmgr_dies_total")
 	m.cBackoffs = r.Counter("kaml_lockmgr_backoffs_total")
-	m.cAcquires.Add(m.acquires)
-	m.cWaits.Add(m.waits)
-	m.cDies.Add(m.dies)
 }
 
 type lockState struct {
@@ -167,10 +157,7 @@ func (m *Manager) Acquire(t *Txn, table uint32, key uint64, mode Mode) error {
 	id := m.id(table, key)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.acquires++
-	if m.cAcquires != nil {
-		m.cAcquires.Inc()
-	}
+	m.cAcquires.Inc()
 
 	if have, ok := t.held[id]; ok {
 		if have == Exclusive || mode == Shared {
@@ -238,16 +225,10 @@ func (m *Manager) Acquire(t *Txn, table uint32, key uint64, mode Mode) error {
 			return nil
 		}
 		if mustDie {
-			m.dies++
-			if m.cDies != nil {
-				m.cDies.Inc()
-			}
+			m.cDies.Inc()
 			return fmt.Errorf("%w: ts %d on %v/%s", ErrDie, t.TS, id, mode)
 		}
-		m.waits++
-		if m.cWaits != nil {
-			m.cWaits.Inc()
-		}
+		m.cWaits.Inc()
 		if !registered {
 			ls.waiting[t.TS] = mode
 			registered = true
@@ -292,10 +273,3 @@ func (m *Manager) ReleaseAll(t *Txn) {
 
 // Held reports the modes currently held (diagnostics).
 func (t *Txn) Held() int { return len(t.held) }
-
-// Stats reports cumulative acquire/wait/die counts.
-func (m *Manager) Stats() (acquires, waits, dies int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.acquires, m.waits, m.dies
-}

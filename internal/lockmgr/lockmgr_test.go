@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/kaml-ssd/kaml/internal/sim"
+	"github.com/kaml-ssd/kaml/internal/telemetry"
 )
 
 func TestSharedLocksCoexist(t *testing.T) {
@@ -185,9 +186,13 @@ func TestReacquireAfterReleaseAll(t *testing.T) {
 	e.Wait()
 }
 
+// TestStatsCount: an instrumented manager counts acquires and wait-die
+// kills into its registry.
 func TestStatsCount(t *testing.T) {
 	e := sim.NewEngine()
 	m := New(e, 1)
+	reg := telemetry.NewRegistry()
+	m.Instrument(reg)
 	e.Go("test", func() {
 		older, younger := m.NewTxn(1), m.NewTxn(2)
 		m.Acquire(older, 0, 1, Exclusive)
@@ -195,7 +200,8 @@ func TestStatsCount(t *testing.T) {
 		m.ReleaseAll(older)
 	})
 	e.Wait()
-	acq, _, dies := m.Stats()
+	acq := reg.Counter("kaml_lockmgr_acquires_total").Value()
+	dies := reg.Counter("kaml_lockmgr_dies_total").Value()
 	if acq != 2 || dies != 1 {
 		t.Fatalf("acq=%d dies=%d", acq, dies)
 	}

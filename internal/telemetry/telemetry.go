@@ -12,10 +12,11 @@
 //   - Instruments are resolved ONCE at construction time (device startup)
 //     and held as struct fields; the registry's name→instrument map is never
 //     touched per operation.
-//   - Every method is nil-receiver safe. A disabled subsystem holds nil
-//     instrument pointers and every Add/Set/Observe is a single predictable
-//     branch — which is what makes "telemetry off" a fair baseline for the
-//     overhead budget (DESIGN.md §11).
+//   - Every method is nil-receiver safe, so a component used without a
+//     registry (the lock manager under Shore-MT) holds nil instruments
+//     and every Add/Set/Observe is a single predictable branch. Devices
+//     and pipelines always have a registry: their Stats are views over it
+//     (DESIGN.md §11).
 //   - Nothing here touches the simulation engine. Recording happens on sim
 //     actors, scraping happens on plain HTTP goroutines; both sides see only
 //     atomics, so a scrape can never stall the virtual clock (and never
@@ -222,6 +223,14 @@ func (h *Histogram) Sum() int64 {
 		return 0
 	}
 	return h.sum.Load()
+}
+
+// Max returns the largest observed value (zero before any observation).
+func (h *Histogram) Max() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.max.Load()
 }
 
 // Count returns the number of observations (a full bucket scan).

@@ -813,8 +813,8 @@ type Stats = kamlssd.Stats
 func (d *Device) Stats() Stats { return d.dev.Stats() }
 
 // Telemetry returns the device's metrics registry (counters, gauges,
-// per-stage latency histograms), or nil when
-// Options.Firmware.DisableTelemetry is set. The registry is read with
+// per-stage latency histograms); Stats is a typed view over its counters.
+// The registry is read with
 // atomic snapshots only, so scraping it from plain goroutines (an HTTP
 // admin endpoint, a bench reporter) never touches the simulation's clock
 // or locks.
